@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .. import telemetry
-from .._rng import RngLike, spawn
+from .._rng import RngLike, spawn, spawn_keys
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..aging.simulator import AgingSimulator, ChipAging, PopulationAging
 from ..environment.conditions import OperatingConditions
@@ -53,8 +53,9 @@ from ..kernel.fused import (
 )
 from ..transistor.mosfet import mobility_factor
 from ..transistor.technology import T_REF_K, TechnologyCard
-from ..variation.chip import Chip, ChipPopulation
+from ..variation.chip import Chip, ChipPopulation, grid_positions
 from .base import PufDesign, RoPufInstance
+from .fabricate import AGING_FIELDS, FAB_FIELDS, fabricate_rows
 from .factory import Study
 from .readout import compare_pairs
 
@@ -294,6 +295,50 @@ class BatchStudy:
             view=PopulationView.from_chips([inst.chip for inst in study.instances]),
             aging=PopulationAging.from_agings(study.agings),
             mission=study.mission,
+        )
+
+    @classmethod
+    def from_keys(
+        cls,
+        design: PufDesign,
+        fab_keys: Sequence[RngLike],
+        aging_keys: Sequence[RngLike],
+        *,
+        mission: MissionProfile,
+        idle_policy: Optional[IdlePolicy] = None,
+        chip_ids: Optional[Sequence[int]] = None,
+        dtype: str = "float64",
+        block_size: Optional[int] = None,
+        backend: Union[None, str, ArrayBackend] = None,
+    ) -> "BatchStudy":
+        """Fabricate the chips of two spawn-key lists into one study.
+
+        Row ``i`` is the chip of ``fab_keys[i]`` / ``aging_keys[i]``,
+        filled by :func:`~repro.core.fabricate.fabricate_rows` straight
+        into the population tensors (no per-chip objects, no stacking).
+        """
+        shape = (len(fab_keys), design.n_ros, design.n_stages, 2)
+        rows = {name: np.empty(shape) for name in FAB_FIELDS + AGING_FIELDS}
+        fabricate_rows(design, fab_keys, aging_keys, rows)
+        simulator = AgingSimulator(
+            design.tech, design.cell, mission, idle_policy=idle_policy
+        )
+        return cls(
+            design=design,
+            view=PopulationView(
+                rows["vth"], rows["tc_scale"], grid_positions(design.n_ros), chip_ids
+            ),
+            aging=PopulationAging(
+                simulator.tech,
+                simulator.stress,
+                simulator.mission,
+                rows["nbti_a"],
+                rows["hci_b"],
+            ),
+            mission=mission,
+            dtype=dtype,
+            block_size=block_size,
+            backend=backend,
         )
 
     # ---- geometry ----------------------------------------------------
@@ -773,26 +818,24 @@ def make_batch_study(
 
     Consumes the RNG exactly like :func:`~repro.core.factory.make_study`
     (fabrication children first, then one aging child per chip, NBTI
-    prefactors before HCI), so the same seed yields the same silicon on
-    both paths: golden responses and aging deltas are bit-identical, and
-    frequencies agree to rounding.  ``dtype`` / ``backend`` /
+    prefactors before HCI; see :meth:`BatchStudy.from_keys`), so the same
+    seed yields the same silicon on both paths: golden responses and
+    aging deltas are bit-identical, and frequencies agree to rounding.  ``dtype`` / ``backend`` /
     ``block_size`` select the kernel tier (see :class:`BatchStudy`);
     fabrication itself always samples in float64, so every tier starts
     from identical silicon.
     """
+    if n_chips <= 0:
+        raise ValueError("n_chips must be positive")
     fab_rng, aging_rng = spawn(rng, 2)
     mission = mission or MissionProfile()
     with telemetry.span("fabricate.batch_study", n_chips=n_chips, n_ros=design.n_ros):
-        population = design.variation_model().sample_population(n_chips, fab_rng)
-        simulator = AgingSimulator(
-            design.tech, design.cell, mission, idle_policy=idle_policy
-        )
-        aging = simulator.population_aging(population, aging_rng)
-        return BatchStudy(
-            design=design,
-            view=PopulationView.from_chips(population),
-            aging=aging,
+        return BatchStudy.from_keys(
+            design,
+            spawn_keys(fab_rng, n_chips),
+            spawn_keys(aging_rng, n_chips),
             mission=mission,
+            idle_policy=idle_policy,
             dtype=dtype,
             block_size=block_size,
             backend=backend,

@@ -30,20 +30,46 @@ def fractional_hd(a, b) -> float:
     return hamming_distance(a, b) / a.size
 
 
-def _upper_triangle_hd(mat: np.ndarray):
-    """Fractional HDs over the strict upper triangle of a response matrix.
+#: row-block budget of the Gram kernel, in elements of one ``(rows, n)``
+#: slab of the pair-count matrix (8 MiB of float64)
+_GRAM_BLOCK_ELEMS = 1 << 20
 
-    ``mat`` is a validated ``(n, width)`` bit matrix; returns
-    ``(iu, ju, vals)`` where ``vals[k]`` is the fractional HD between rows
-    ``iu[k]`` and ``ju[k]`` — the XOR-on-the-upper-triangle kernel shared
-    by :func:`pairwise_fractional_hd` and :func:`hd_matrix`.
-    """
-    n, width = mat.shape
-    if width == 0:
+
+def _bit_matrix(responses: Sequence) -> np.ndarray:
+    """Validated ``(n, width)`` 0/1 matrix of one response per row."""
+    mat = _as_bits(np.stack([np.asarray(r) for r in responses]))
+    if mat.ndim != 2:
+        raise ValueError("responses must be bit vectors, one per row")
+    if mat.shape[1] == 0:
         raise ValueError("responses are empty")
-    iu, ju = np.triu_indices(n, k=1)
-    vals = (mat[iu] ^ mat[ju]).sum(axis=1) / width
-    return iu, ju, vals
+    return mat
+
+
+def _hd_row_blocks(mat: np.ndarray, *, upper: bool):
+    """Pair Hamming counts of a bit matrix, one row block at a time.
+
+    Yields ``(lo, hi, counts)`` where ``counts[i - lo, j - c0]`` is the
+    number of differing bits between rows ``i`` and ``j`` for ``i`` in
+    ``[lo, hi)`` and every ``j >= c0`` (``c0 = lo`` when ``upper``, else
+    0).  The counts come from the Gram matrix of the 0/1 rows:
+    ``hd(i, j) = w_i + w_j - 2 * (B Bᵀ)_ij`` with ``w`` the row weights.
+    Every term is an integer below 2**53, so the float64 counts are exact
+    whatever order the matrix product sums in.  Row blocking keeps each
+    temporary bounded by :data:`_GRAM_BLOCK_ELEMS` instead of the
+    ``n²/2 × width`` bytes a gathered XOR would take.
+    """
+    bits = mat.astype(np.float64)
+    weights = bits.sum(axis=1)
+    n = bits.shape[0]
+    rows = max(1, _GRAM_BLOCK_ELEMS // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        c0 = lo if upper else 0
+        counts = bits[lo:hi] @ bits[c0:].T
+        counts *= -2.0
+        counts += weights[lo:hi, None]
+        counts += weights[None, c0:]
+        yield lo, hi, counts
 
 
 def pairwise_fractional_hd(responses: Sequence) -> np.ndarray:
@@ -51,21 +77,31 @@ def pairwise_fractional_hd(responses: Sequence) -> np.ndarray:
 
     ``responses`` is a sequence of equal-length bit vectors (or a 2-D
     array, rows = responses).  Returns the flat vector of
-    ``n*(n-1)/2`` pairwise fractional distances, the raw material of the
-    inter-chip uniqueness statistic.
+    ``n*(n-1)/2`` pairwise fractional distances in row-major
+    upper-triangle order (pair ``(0, 1)``, ``(0, 2)``, …), the raw
+    material of the inter-chip uniqueness statistic.
     """
-    mat = np.stack([_as_bits(r) for r in responses])
-    if mat.shape[0] < 2:
+    mat = _bit_matrix(responses)
+    n, width = mat.shape
+    if n < 2:
         raise ValueError("need at least two responses")
-    _, _, vals = _upper_triangle_hd(mat)
-    return vals
+    out = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for lo, hi, counts in _hd_row_blocks(mat, upper=True):
+        # strict upper triangle of the slab, row-major: column j - lo > i - lo
+        keep = np.arange(n - lo)[None, :] > np.arange(hi - lo)[:, None]
+        vals = counts[keep]
+        out[pos : pos + vals.size] = vals
+        pos += vals.size
+    out /= width
+    return out
 
 
 def hd_matrix(responses: Sequence) -> np.ndarray:
     """Full symmetric matrix of pairwise fractional HDs (zero diagonal)."""
-    mat = np.stack([_as_bits(r) for r in responses])
-    iu, ju, vals = _upper_triangle_hd(mat)
-    out = np.zeros((mat.shape[0],) * 2)
-    out[iu, ju] = vals
-    out[ju, iu] = vals
+    mat = _bit_matrix(responses)
+    out = np.empty((mat.shape[0],) * 2)
+    for lo, hi, counts in _hd_row_blocks(mat, upper=False):
+        out[lo:hi] = counts
+    out /= mat.shape[1]
     return out

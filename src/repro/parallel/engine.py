@@ -107,9 +107,8 @@ class ParallelBatchStudy:
         mission = mission or MissionProfile()
         # Consume the RNG exactly like make_batch_study / make_study
         # (fabrication child first, then aging), then derive the whole
-        # population's per-chip keys the way sample_population and
-        # PopulationAging.sample would, so shard workers replay the
-        # serial draws verbatim.
+        # population's per-chip keys the way make_batch_study does, so
+        # shard workers replay the serial draws verbatim.
         fab_rng, aging_rng = spawn(rng, 2)
         fab_keys = spawn_keys(fab_rng, n_chips)
         aging_keys = spawn_keys(aging_rng, n_chips)

@@ -5,9 +5,9 @@ The contract with the coordinator (:mod:`repro.parallel.engine`):
 
 * a task ships a :class:`~repro.parallel.sharding.ShardSpec` (spawn keys
   and config, never tensors) plus a list of :class:`EvalRequest` items;
-* the worker fabricates its chip shard locally — through exactly the
-  same ``sample_chip`` / prefactor-sampling calls, fed exactly the same
-  child streams, as a serial :func:`make_batch_study` would have used for
+* the worker fabricates its chip shard locally — through the same
+  :func:`~repro.core.fabricate.fabricate_rows` replay, fed exactly the
+  same child streams, as a serial :func:`make_batch_study` uses for
   those chips — and keeps the resulting shard
   :class:`~repro.core.population.BatchStudy` in a small LRU cache so a
   year sweep pays fabrication once, not once per grid point;
@@ -35,15 +35,12 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .. import telemetry
-from .._rng import as_generator
-from ..aging.simulator import AgingSimulator, PopulationAging
-from ..core.population import BatchStudy, PopulationView
+from ..core.population import BatchStudy
 from ..environment.conditions import OperatingConditions
 from ..forensics import hook as _hook_mod
 from ..telemetry import events as _events_mod
 from ..telemetry import sampler as _sampler_mod
 from ..telemetry import tracer as _tracer_mod
-from ..variation.chip import ChipPopulation
 from .cache import ResultCache
 from .sharding import ShardSpec
 
@@ -152,38 +149,23 @@ _SHARD_CACHE_SIZE = 8
 def fabricate_shard(spec: ShardSpec) -> BatchStudy:
     """Build the shard's :class:`BatchStudy` from its spawn keys.
 
-    Per chip this performs the identical draws, in the identical order,
-    as the serial path: ``sample_chip`` on the chip's fabrication stream,
-    then NBTI-before-HCI prefactor sampling on its aging stream (via
-    :meth:`PopulationAging.sample` with pre-derived children).  Responses
-    and deltas of the shard rows are therefore bit-identical to the same
+    :meth:`BatchStudy.from_keys` replays each chip's fabrication and
+    aging streams exactly as the serial path does for those chips, so
+    responses and deltas of the shard rows are bit-identical to the same
     rows of a whole-population study under the same root seed.
     """
-    design, mission = spec.design, spec.mission
-    model = design.variation_model()
     with telemetry.span(
         "parallel.fabricate_shard",
         chip_start=spec.chip_start,
         n_chips=spec.n_chips,
     ):
-        chips = [
-            model.sample_chip(as_generator(key), chip_id=cid)
-            for key, cid in zip(spec.fab_keys, spec.chip_ids)
-        ]
-        population = ChipPopulation(chips=chips)
-        simulator = AgingSimulator(
-            design.tech, design.cell, mission, idle_policy=spec.idle_policy
-        )
-        aging = PopulationAging.sample(
-            simulator,
-            population,
-            children=[as_generator(key) for key in spec.aging_keys],
-        )
-        return BatchStudy(
-            design=design,
-            view=PopulationView.from_chips(population),
-            aging=aging,
-            mission=mission,
+        return BatchStudy.from_keys(
+            spec.design,
+            spec.fab_keys,
+            spec.aging_keys,
+            mission=spec.mission,
+            idle_policy=spec.idle_policy,
+            chip_ids=spec.chip_ids,
             dtype=spec.dtype,
         )
 

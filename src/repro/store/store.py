@@ -56,13 +56,18 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import telemetry
-from .._rng import RngLike, as_generator, spawn, spawn_keys
+from .._rng import RngLike, spawn, spawn_keys
 from ..telemetry import sampler as _sampler_mod
-from ..aging import hci, nbti
 from ..aging.schedule import IdlePolicy, MissionProfile
-from ..aging.simulator import AgingSimulator
+from ..aging.simulator import (
+    AgingSimulator,
+    direction_powers,
+    fold_bti,
+    fold_hci,
+    stress_tensors,
+)
 from ..core.base import PufDesign
-from ..variation.chip import NMOS, PMOS
+from ..core.fabricate import fabricate_rows
 
 PathLike = Union[str, pathlib.Path]
 
@@ -86,6 +91,11 @@ COLUMNS = FAB_COLUMNS + AGING_COLUMNS
 #: to amortise the per-block Python overhead, small enough that a
 #: handful of in-flight blocks stays far below the RSS budget
 DEFAULT_BLOCK_ELEMS = 2_000_000
+
+#: rows are fabricated in private RAM chunks of this many tensor
+#: elements (2 MiB of float64 per column) before being copied to the
+#: shared segments
+_STAGE_ELEMS = 262_144
 
 _GRAN = _mmaplib.ALLOCATIONGRANULARITY
 
@@ -191,6 +201,22 @@ def release_rows(mm: np.memmap, lo: int, hi: int) -> None:
             pass
 
 
+def _write_folded(
+    cols: Dict[str, np.memmap],
+    mech: str,
+    coeff: np.ndarray,
+    power: np.ndarray,
+    a: int,
+    b: int,
+) -> None:
+    """Write one mechanism's folded coefficients, and their product with
+    the mission's stress power, to whichever of its columns are wanted."""
+    if f"{mech}_coeff" in cols:
+        cols[f"{mech}_coeff"][a:b] = coeff
+    if f"{mech}_dir" in cols:
+        np.multiply(coeff, power, out=cols[f"{mech}_dir"][a:b])
+
+
 class PopulationStore:
     """Columnar, block-lazily-fabricated population segments on disk.
 
@@ -225,30 +251,15 @@ class PopulationStore:
         self.content_key = content_key
         self._fab_keys = fab_keys
         self._aging_keys = aging_keys
-        self._model = design.variation_model()
-        self._k_t = nbti.temperature_acceleration(
-            mission.temperature_k, design.tech.nbti
-        )
-        # Mission-folded duty/transition powers for the ``_dir`` columns,
-        # built with the same expressions, on the same (1, 1, s, 2)
-        # layout, as PopulationAging.__init__ builds ``_bti_dir`` /
-        # ``_hci_dir`` — the stored products are bit-identical to the
-        # in-RAM tensors.
+        # mission-folded stress powers for the ``_dir`` columns: the same
+        # helpers PopulationAging builds ``_bti_dir`` / ``_hci_dir`` from,
+        # so the stored products are bit-identical to the in-RAM tensors
         simulator = AgingSimulator(
             design.tech, design.cell, mission, idle_policy=idle_policy
         )
-        stress = simulator.stress
-        n_stages = stress.n_stages
-        duty = np.empty((1, 1, n_stages, 2))
-        duty[0, 0, :, PMOS] = stress.nbti_duty[:, PMOS]
-        duty[0, 0, :, NMOS] = stress.pbti_duty[:, NMOS]
-        tpy = np.empty((1, 1, n_stages, 2))
-        tpy[0, 0, :, PMOS] = stress.transitions_per_year[:, PMOS]
-        tpy[0, 0, :, NMOS] = stress.transitions_per_year[:, NMOS]
-        self._duty_pow = duty ** design.tech.nbti.n
-        self._tpy_pow = (
-            tpy / design.tech.hci.ref_transitions
-        ) ** design.tech.hci.m
+        self._duty_pow, self._tpy_pow = direction_powers(
+            design.tech, *stress_tensors(simulator.stress)
+        )
         self._cols: Dict[str, np.memmap] = {}
         self._flags: Dict[str, np.memmap] = {}
         self._closed = False
@@ -501,58 +512,58 @@ class PopulationStore:
                 "store.fabricate_block_s", (time.perf_counter_ns() - t0) / 1e9
             )
 
+    def _staged_rows(self, lo: int, hi: int, names: Sequence[str]):
+        """Private row buffers for rows ``[lo, hi)``, a chunk at a time.
+
+        Yields ``(a, b, rows)`` with ``rows[name]`` a C-contiguous RAM
+        buffer for rows ``[a, b)``.  Fabrication fills and folds rows in
+        place, so it works here rather than in the shared segments: a
+        concurrent fabricator of the same block (another worker) may
+        only ever write final bytes there, never intermediates.  Chunks
+        of :data:`_STAGE_ELEMS` keep the buffers small.
+        """
+        shape = (self.design.n_ros, self.design.n_stages, 2)
+        step = max(1, _STAGE_ELEMS // int(np.prod(shape)))
+        bufs = {name: np.empty((min(step, hi - lo),) + shape) for name in names}
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            yield a, b, {name: buf[: b - a] for name, buf in bufs.items()}
+
     def _fabricate_process(self, lo: int, hi: int, columns: Sequence[str]) -> None:
         """Replay the fabrication child streams for rows ``[lo, hi)``."""
         cols = {name: self.column(name) for name in columns}
-        for i in range(lo, hi):
-            chip = self._model.sample_chip(
-                as_generator(int(self._fab_keys[i])), chip_id=i
-            )
-            if "vth" in cols:
-                cols["vth"][i] = chip.vth
-            if "tc_scale" in cols:
-                cols["tc_scale"][i] = chip.tc_scale
+        for a, b, rows in self._staged_rows(lo, hi, columns):
+            fabricate_rows(self.design, self._fab_keys[a:b], (), rows)
+            for name, mm in cols.items():
+                mm[a:b] = rows[name]
         self._publish(cols, lo, hi)
 
     def _fabricate_aging(self, lo: int, hi: int, columns: Sequence[str]) -> None:
         """Replay the aging child streams for rows ``[lo, hi)``.
 
-        Draw order (NBTI prefactors before HCI, one child per chip) and
-        the coefficient folding (Arrhenius ``k_T``, ``pbti_factor``,
-        ``PMOS_HCI_FACTOR``) mirror
-        :meth:`repro.aging.simulator.PopulationAging.sample` /
-        ``__init__`` element for element, so the stored coefficients are
-        bit-identical to the in-RAM tensors — and the ``_dir`` columns,
-        one further multiply by the duty/transition powers, match the
-        in-RAM ``_bti_dir`` / ``_hci_dir`` products the same way.
+        Raw prefactors are drawn by
+        :func:`~repro.core.fabricate.fabricate_rows` and folded with the
+        helpers :class:`~repro.aging.simulator.PopulationAging` folds
+        with.  Every step is elementwise, so the stored coefficients and
+        ``_dir`` products are bit-identical to the in-RAM tensors.
         """
         tech = self.design.tech
-        params = tech.nbti
-        shape = (self.design.n_ros, self.design.n_stages, 2)
         cols = {name: self.column(name) for name in columns}
-        want_bti = "bti_coeff" in cols or "bti_dir" in cols
-        want_hci = "hci_coeff" in cols or "hci_dir" in cols
-        duty_pow = self._duty_pow[0, 0]  # (n_stages, 2), broadcast per row
-        tpy_pow = self._tpy_pow[0, 0]
-        coeff = np.empty(shape)
-        for i in range(lo, hi):
-            gen = as_generator(int(self._aging_keys[i]))
-            nbti_a = nbti.sample_prefactors(shape, params, gen)
-            hci_b = hci.sample_prefactors(shape, tech.hci, gen)
-            if want_bti:
-                coeff[..., PMOS] = (1.0 * nbti_a[..., PMOS]) * self._k_t
-                coeff[..., NMOS] = (params.pbti_factor * nbti_a[..., NMOS]) * self._k_t
-                if "bti_coeff" in cols:
-                    cols["bti_coeff"][i] = coeff
-                if "bti_dir" in cols:
-                    np.multiply(coeff, duty_pow, out=cols["bti_dir"][i])
-            if want_hci:
-                coeff[..., PMOS] = hci.PMOS_HCI_FACTOR * hci_b[..., PMOS]
-                coeff[..., NMOS] = 1.0 * hci_b[..., NMOS]
-                if "hci_coeff" in cols:
-                    cols["hci_coeff"][i] = coeff
-                if "hci_dir" in cols:
-                    np.multiply(coeff, tpy_pow, out=cols["hci_dir"][i])
+        want = [
+            raw
+            for raw, mech in (("nbti_a", "bti"), ("hci_b", "hci"))
+            if f"{mech}_coeff" in cols or f"{mech}_dir" in cols
+        ]
+        for a, b, rows in self._staged_rows(lo, hi, want):
+            fabricate_rows(
+                self.design, (), self._aging_keys[a:b], rows, heartbeat=False
+            )
+            if "nbti_a" in rows:
+                bti = fold_bti(tech, self.mission, rows["nbti_a"], rows["nbti_a"])
+                _write_folded(cols, "bti", bti, self._duty_pow, a, b)
+            if "hci_b" in rows:
+                hci = fold_hci(rows["hci_b"], rows["hci_b"])
+                _write_folded(cols, "hci", hci, self._tpy_pow, a, b)
         self._publish(cols, lo, hi)
 
     def _publish(self, cols: Dict[str, np.memmap], lo: int, hi: int) -> None:

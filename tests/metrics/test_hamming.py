@@ -40,7 +40,62 @@ class TestFractionalHd:
             fractional_hd([], [])
 
 
+def _xor_pairwise(mat):
+    """Reference: XOR-sum every unordered pair, row-major upper triangle."""
+    n, width = mat.shape
+    return np.array(
+        [
+            np.count_nonzero(mat[i] ^ mat[j]) / width
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+    )
+
+
+def _xor_matrix(mat):
+    n, width = mat.shape
+    return np.array(
+        [[np.count_nonzero(mat[i] ^ mat[j]) / width for j in range(n)] for i in range(n)]
+    )
+
+
+#: (n, width) shapes the Gram kernel must agree with XOR on exactly:
+#: the smallest population, one-bit responses, the served 756-bit width,
+#: and a population spanning several row blocks
+KERNEL_SHAPES = [(2, 1), (2, 756), (3, 1), (7, 33), (19, 756), (300, 3)]
+
+
 class TestPairwise:
+    @pytest.mark.parametrize("n, width", KERNEL_SHAPES)
+    def test_equals_xor_reference(self, n, width, monkeypatch):
+        import repro.metrics.hamming as hamming
+
+        # small row blocks, so the shapes above also cross block edges
+        monkeypatch.setattr(hamming, "_GRAM_BLOCK_ELEMS", 2048)
+        rng = np.random.default_rng(n * 1000 + width)
+        mat = rng.integers(0, 2, (n, width), dtype=np.uint8)
+        assert np.array_equal(pairwise_fractional_hd(mat), _xor_pairwise(mat))
+        assert np.array_equal(pairwise_fractional_hd(list(mat)), _xor_pairwise(mat))
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_all_equal_rows(self, bit):
+        mat = np.full((5, 40), bit, dtype=np.uint8)
+        dists = pairwise_fractional_hd(mat)
+        assert np.array_equal(dists, _xor_pairwise(mat))
+        assert not dists.any()
+
+    def test_rejects_non_binary_matrix(self):
+        with pytest.raises(ValueError, match="0/1"):
+            pairwise_fractional_hd(np.array([[0, 1], [2, 0]]))
+
+    def test_rejects_scalar_rows(self):
+        with pytest.raises(ValueError, match="one per row"):
+            pairwise_fractional_hd([0, 1, 1])
+
+    def test_rejects_empty_responses(self):
+        with pytest.raises(ValueError, match="empty"):
+            pairwise_fractional_hd(np.zeros((3, 0), dtype=np.uint8))
+
     def test_count(self):
         rng = np.random.default_rng(0)
         responses = rng.integers(0, 2, (6, 32))
@@ -63,6 +118,18 @@ class TestPairwise:
 
 
 class TestMatrix:
+    @pytest.mark.parametrize("n, width", KERNEL_SHAPES[:-1])
+    def test_equals_xor_reference(self, n, width, monkeypatch):
+        import repro.metrics.hamming as hamming
+
+        monkeypatch.setattr(hamming, "_GRAM_BLOCK_ELEMS", 64)
+        rng = np.random.default_rng(n * 1000 + width + 1)
+        mat = rng.integers(0, 2, (n, width), dtype=np.uint8)
+        assert np.array_equal(hd_matrix(mat), _xor_matrix(mat))
+
+    def test_all_equal_rows_are_all_zero(self):
+        assert np.array_equal(hd_matrix(np.ones((4, 9), dtype=np.uint8)), np.zeros((4, 4)))
+
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(2)
         responses = rng.integers(0, 2, (5, 16))

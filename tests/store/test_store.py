@@ -10,7 +10,7 @@ scale; the RSS/throughput behaviour lives in
 import numpy as np
 import pytest
 
-from repro import aro_design, conventional_design
+from repro import aro_design, conventional_design, make_batch_study
 from repro.store import (
     AGING_COLUMNS,
     COLUMNS,
@@ -76,6 +76,22 @@ class TestChunkDeterminism:
                 assert np.array_equal(ref[name], np.array(store.column(name)))
         finally:
             store.close()
+
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_each_column_alone_equals_the_ram_engine(self, tmp_path, column):
+        """A column fabricated on its own (skipping or discarding the
+        other draws of its stream) holds the in-RAM study's bytes."""
+        batch = make_batch_study(DESIGN, N_CHIPS, rng=SEED)
+        ram = {
+            "vth": batch.view.vth,
+            "tc_scale": batch.view.tc_scale,
+            "bti_coeff": batch.aging._folded("bti")[0],
+            "hci_coeff": batch.aging._folded("hci")[0],
+            "bti_dir": batch.aging._bti_dir,
+            "hci_dir": batch.aging._hci_dir,
+        }
+        got = _full_columns(tmp_path / "s", 5, [column])
+        assert np.array_equal(got[column], ram[column])
 
     def test_dir_columns_fold_the_coeff_columns(self, tmp_path):
         """bti_dir/hci_dir are the raw coefficients with the static
