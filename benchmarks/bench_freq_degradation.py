@@ -46,7 +46,7 @@ class TestPerf:
         study = make_batch_study(conventional_design(), n_chips=50, rng=0)
 
         def kernel():
-            study._freq_memo.clear()
+            study.drop_cached_corners()
             study.aging._memo.clear()
             return study.frequencies(t_years=10.0)
 

@@ -66,7 +66,7 @@ def _sweep_per_chip(study, years):
 
 
 def _sweep_batched(batch, years):
-    batch._freq_memo.clear()
+    batch.drop_cached_corners()
     batch.aging._memo.clear()
     goldens = batch.responses()
     return goldens, [
@@ -183,7 +183,7 @@ class TestFusedKernel:
                 bits,
                 compare_pairs(freqs, pairs, design.tech, design.readout),
             )
-            batch._freq_memo.clear()
+            batch.drop_cached_corners()
             counts = batch.margin_histogram(edges, t_years=t)
             freqs = batch.frequencies(t)
             assert np.array_equal(

@@ -266,6 +266,38 @@ def direction_powers(tech: TechnologyCard, duty: np.ndarray, tpy: np.ndarray) ->
     )
 
 
+def aging_terms(
+    tech: TechnologyCard,
+    stress: StressProfile,
+    t_years: float,
+    mechanism: Optional[str] = None,
+) -> tuple:
+    """The ``(column, factor, cap)`` terms that age a corner by ``t_years``.
+
+    Each term subtracts ``min(column * factor, cap)`` from the gate
+    overdrive; ``column`` names a population column
+    (:meth:`PopulationAging.column`, the store's segments).  The golden
+    corner (``mechanism=None``) uses the fully factored form, two
+    direction columns times the scalars ``t**n`` and ``t**m``.  A
+    single-mechanism corner (``"bti"`` / ``"hci"``) uses that
+    mechanism's coefficient column times the exact ``(duty * t)**n`` or
+    ``((tpy * t) / N_ref)**m`` array of :meth:`ChipAging.delta`.
+    """
+    t = float(t_years)
+    if mechanism is None:
+        return (
+            ("bti_dir", t ** tech.nbti.n, tech.nbti.max_shift),
+            ("hci_dir", t ** tech.hci.m, tech.hci.max_shift),
+        )
+    duty, tpy = stress_tensors(stress)
+    if mechanism == "bti":
+        return (("bti_coeff", np.power(duty * t, tech.nbti.n), tech.nbti.max_shift),)
+    if mechanism == "hci":
+        power = np.power((tpy * t) / tech.hci.ref_transitions, tech.hci.m)
+        return (("hci_coeff", power, tech.hci.max_shift),)
+    raise ValueError(f"mechanism must be 'bti' or 'hci', got {mechanism!r}")
+
+
 class PopulationAging:
     """Vectorised aging trajectories of a whole chip population.
 
@@ -332,10 +364,9 @@ class PopulationAging:
         # reads only the fully-factored stress directions
         #   delta(t) = t**n * bti_dir + t**m * hci_dir   (clips aside)
         # which pull the duty/transition powers out of the time loop.
-        # That regroups the closed form (ULP-level drift), so only
-        # subtract_delta_into uses it.
-        self._duty, self._tpy = stress_tensors(stress)
-        duty_pow, tpy_pow = direction_powers(tech, self._duty, self._tpy)
+        # That regroups the closed form (ULP-level drift), so only the
+        # study engines' golden corners use it (see aging_terms).
+        duty_pow, tpy_pow = direction_powers(tech, *stress_tensors(stress))
         self._bti_dir = fold_bti(tech, mission, nbti_a, np.empty_like(nbti_a))
         self._bti_dir *= duty_pow
         self._hci_dir = fold_hci(hci_b, np.empty_like(hci_b))
@@ -384,10 +415,8 @@ class PopulationAging:
 
         ``coeff`` is the population-sized coefficient tensor in
         :meth:`ChipAging.delta`'s grouping; ``coeff_max`` its
-        per-(stage, polarity) maximum, which lets evaluation prove a clip
-        is a no-op from a 10-element check and skip the population-sized
-        minimum pass (bitwise identical either way).  A sweep that only
-        subtracts through the direction tensors never builds either.
+        per-(stage, polarity) maximum.  A sweep that only subtracts
+        through the direction tensors never builds either.
         """
         folded = self._coeffs.get(mechanism)
         if folded is None:
@@ -399,6 +428,24 @@ class PopulationAging:
                 coeff = fold_hci(self.hci_b, np.empty_like(self.hci_b))
             folded = self._coeffs[mechanism] = (coeff, coeff.max(axis=(0, 1)))
         return folded
+
+    def column(self, name: str) -> tuple:
+        """``(tensor, bound)`` of one aging column, by store column name.
+
+        ``bti_dir`` / ``hci_dir`` are the factored direction tensors,
+        ``bti_coeff`` / ``hci_coeff`` the coefficients (folded on first
+        use).  ``bound`` is the tensor's maximum, overall or per (stage,
+        polarity): it lets a caller prove from a few elements that a
+        saturation clip is a no-op and skip the population-sized pass
+        (bitwise identical either way).  Treat the tensor as read-only.
+        """
+        if name == "bti_dir":
+            return self._bti_dir, self._bti_dir_max
+        if name == "hci_dir":
+            return self._hci_dir, self._hci_dir_max
+        if name in ("bti_coeff", "hci_coeff"):
+            return self._folded(name[:3])
+        raise KeyError(f"unknown aging column {name!r}")
 
     def delta(self, t_years: float) -> np.ndarray:
         """Population threshold-shift field after ``t_years`` (volts).
@@ -425,9 +472,9 @@ class PopulationAging:
     def delta_into(self, t_years: float, out: np.ndarray) -> np.ndarray:
         """:meth:`delta` evaluated into a caller-owned buffer (no memo).
 
-        The hot loop of a year sweep calls this with one persistent buffer
-        so that no population-sized array is allocated (and page-faulted)
-        per grid point.  Returns ``out``.
+        The BTI component is written into ``out`` and the HCI component
+        added to it — the grouping of :meth:`ChipAging.delta`.  Returns
+        ``out``.
         """
         if t_years < 0:
             raise ValueError("t_years must be non-negative")
@@ -435,55 +482,10 @@ class PopulationAging:
         sp = telemetry.start_span(
             "aging.delta", t_years=t, n_chips=self.n_chips
         )
-        # t-dependent power laws on the tiny (1, 1, n_stages, 2) stress
-        # arrays; everything population-sized below is multiply/clip/add.
-        pow_bti = np.power(self._duty * t, self.tech.nbti.n)
-        pow_hci = np.power(
-            (self._tpy * t) / self.tech.hci.ref_transitions, self.tech.hci.m
-        )
-        bti_coeff, bti_max = self._folded("bti")
-        hci_coeff, hci_max = self._folded("hci")
-        np.multiply(bti_coeff, pow_bti, out=out)
-        if (bti_max * pow_bti[0, 0] > self.tech.nbti.max_shift).any():
-            telemetry.count("aging.clip_applied")
-            np.minimum(out, self.tech.nbti.max_shift, out=out)
-        else:
-            telemetry.count("aging.clip_skipped")
-        hci_part = hci_coeff * pow_hci
-        if (hci_max * pow_hci[0, 0] > self.tech.hci.max_shift).any():
-            telemetry.count("aging.clip_applied")
-            np.minimum(hci_part, self.tech.hci.max_shift, out=hci_part)
-        else:
-            telemetry.count("aging.clip_skipped")
-        np.add(out, hci_part, out=out)
+        self.delta_component(t, "bti", out=out)
+        out += self.delta_component(t, "hci")
         telemetry.end_span(sp)
         return out
-
-    def _component_terms(self, t: float, mechanism: str) -> tuple:
-        """``(coeff, pow_mech, clip, cap)`` of one mechanism at ``t``.
-
-        ``pow_mech`` is the tiny ``(1, 1, n_stages, 2)`` time power-law
-        array, ``clip`` the population-wide decision whether the
-        saturation cap is reachable (proved from the per-stage maxima, so
-        skipping the clip pass is bitwise identical to applying it).
-        The expressions match :meth:`delta_into` operation for operation.
-        """
-        if mechanism == "bti":
-            pow_mech = np.power(self._duty * t, self.tech.nbti.n)
-            cap = self.tech.nbti.max_shift
-            coeff, coeff_max = self._folded("bti")
-            clip = bool((coeff_max * pow_mech[0, 0] > cap).any())
-            return coeff, pow_mech, clip, cap
-        if mechanism == "hci":
-            pow_mech = np.power(
-                (self._tpy * t) / self.tech.hci.ref_transitions,
-                self.tech.hci.m,
-            )
-            cap = self.tech.hci.max_shift
-            coeff, coeff_max = self._folded("hci")
-            clip = bool((coeff_max * pow_mech[0, 0] > cap).any())
-            return coeff, pow_mech, clip, cap
-        raise ValueError(f"mechanism must be 'bti' or 'hci', got {mechanism!r}")
 
     def delta_component(
         self,
@@ -501,13 +503,15 @@ class PopulationAging:
         """
         if t_years < 0:
             raise ValueError("t_years must be non-negative")
-        coeff, pow_mech, clip, cap = self._component_terms(
-            float(t_years), mechanism
+        ((name, power, cap),) = aging_terms(
+            self.tech, self.stress, t_years, mechanism
         )
+        coeff, coeff_max = self.column(name)
         if out is None:
             out = np.empty_like(coeff)
-        np.multiply(coeff, pow_mech, out=out)
-        if clip:
+        np.multiply(coeff, power, out=out)
+        # the clip is skipped only where the maxima prove it a no-op
+        if (coeff_max * power > cap).any():
             np.minimum(out, cap, out=out)
         return out
 
@@ -515,16 +519,12 @@ class PopulationAging:
         """Per-mechanism split of :meth:`delta`: ``(bti, hci)`` fields.
 
         Each has the population tensor shape ``(n_chips, n_ros, n_stages,
-        2)``.  The grouping, clip decisions and final add mirror
-        :meth:`delta_into` operation for operation, so ``bti + hci`` is
-        *bit-identical* to ``delta(t_years)`` — the forensics layer relies
-        on that to attribute a margin shift to NBTI/PBTI vs HCI without
-        introducing a reconciliation residual of its own.  Not memoised:
-        attribution calls this once per report, never in a sweep loop.
-        Callers that need only one mechanism (the blocked
-        counterfactual-frequency path) use :meth:`delta_component` or
-        :meth:`component_subtracter` instead and skip the second
-        population-sized tensor entirely.
+        2)``.  :meth:`delta` is built from the same two components, so
+        ``bti + hci`` is *bit-identical* to ``delta(t_years)`` — the
+        forensics layer relies on that to attribute a margin shift to
+        NBTI/PBTI vs HCI without introducing a reconciliation residual of
+        its own.  Not memoised: attribution calls this once per report,
+        never in a sweep loop.
         """
         if t_years < 0:
             raise ValueError("t_years must be non-negative")
@@ -534,140 +534,6 @@ class PopulationAging:
             self.delta_component(t, "bti"),
             self.delta_component(t, "hci"),
         )
-
-    def direction_tensors(self) -> tuple:
-        """``(bti_dir, hci_dir)`` factored stress-direction tensors.
-
-        The fully-factored form behind :meth:`subtract_delta_into`
-        (``delta(t) = t**n * bti_dir + t**m * hci_dir``, clips aside).
-        Exposed for the kernel tiers that pre-cast population tensors to
-        a different dtype/backend; treat the returned arrays as
-        read-only.
-        """
-        return self._bti_dir, self._hci_dir
-
-    def block_subtracter(self, t_years: float, directions: tuple, xp):
-        """A per-block ``od -= delta(t_years)[rows]`` closure.
-
-        ``directions`` carries the (possibly dtype-cast, possibly
-        device-resident) pair from :meth:`direction_tensors`; ``xp`` is
-        the :class:`repro.kernel.backend.ArrayBackend` the block buffers
-        live on.  Semantics — factored grouping, exact clip decisions
-        proved from float64 scalar maxima, per-block telemetry counters —
-        mirror :meth:`subtract_delta_into`; only the arithmetic precision
-        follows the tensors passed in.
-        """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
-        t = float(t_years)
-        bti_dir, hci_dir = directions
-        bti_t = t ** self.tech.nbti.n
-        hci_t = t ** self.tech.hci.m
-        cap_bti = self.tech.nbti.max_shift
-        cap_hci = self.tech.hci.max_shift
-        clip_bti = self._bti_dir_max * bti_t > cap_bti
-        clip_hci = self._hci_dir_max * hci_t > cap_hci
-
-        def subtract(od, scratch, rows):
-            telemetry.count("aging.subtract_blocks")
-            xp.multiply(bti_dir[rows], bti_t, out=scratch)
-            if clip_bti:
-                telemetry.count("aging.clip_applied")
-                xp.minimum(scratch, cap_bti, out=scratch)
-            else:
-                telemetry.count("aging.clip_skipped")
-            od -= scratch
-            xp.multiply(hci_dir[rows], hci_t, out=scratch)
-            if clip_hci:
-                telemetry.count("aging.clip_applied")
-                xp.minimum(scratch, cap_hci, out=scratch)
-            else:
-                telemetry.count("aging.clip_skipped")
-            od -= scratch
-
-        return subtract
-
-    def component_subtracter(
-        self, t_years: float, mechanism: str, *, xp=np, dtype=None
-    ):
-        """A per-block ``od -= delta_component(t_years, mechanism)[rows]``.
-
-        The blocked counterfactual-frequency path subtracts one
-        mechanism's field block by block through this closure instead of
-        materialising the full :meth:`delta_components` pair — same
-        coefficient grouping, same population-wide clip decision, so the
-        result is bit-identical to the full-tensor subtraction while
-        allocating nothing population-sized.  ``dtype`` (with its
-        backend ``xp``) casts the coefficient tensor once for off-native
-        kernel tiers; ``None`` keeps the float64 originals.
-        """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
-        coeff, pow_mech, clip, cap = self._component_terms(
-            float(t_years), mechanism
-        )
-        if dtype is not None:
-            coeff = xp.asarray(coeff, dtype)
-            pow_mech = xp.asarray(pow_mech, dtype)
-
-        def subtract(od, scratch, rows):
-            xp.multiply(coeff[rows], pow_mech, out=scratch)
-            if clip:
-                xp.minimum(scratch, cap, out=scratch)
-            od -= scratch
-
-        return subtract
-
-    def cached_delta(self, t_years: float) -> Optional[np.ndarray]:
-        """The memoised delta for ``t_years`` if one exists, else None."""
-        return self._memo.get(float(t_years))
-
-    def subtract_delta_into(
-        self,
-        t_years: float,
-        od: np.ndarray,
-        scratch: np.ndarray,
-        rows: slice = slice(None),
-    ) -> np.ndarray:
-        """``od -= delta(t_years)[rows]`` with the fewest memory passes.
-
-        The hot kernel of the batched frequency sweep.  The BTI and HCI
-        terms are subtracted separately from factored direction tensors
-        (one scalar multiply + one subtract each), which regroups the
-        closed form relative to :meth:`delta` — results differ from
-        subtracting :meth:`delta` only in the last few ULPs, so callers
-        that need the bit-exact per-chip grouping use :meth:`delta`
-        instead.  Clips are applied exactly: a cheap maximum check proves
-        when the population cannot reach the cap and the clip pass is
-        skipped.
-
-        ``rows`` selects a chip-axis block, letting the caller chunk the
-        evaluation so the work buffers stay cache-resident.
-        """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
-        t = float(t_years)
-        telemetry.count("aging.subtract_blocks")
-        # Factored closed form: delta(t) = t**n * bti_dir + t**m * hci_dir
-        # (clips aside), so the hot loop pays two *scalar* broadcasts
-        # instead of two (n_stages, 2) broadcasts — measurably cheaper.
-        bti_t = t ** self.tech.nbti.n
-        hci_t = t ** self.tech.hci.m
-        np.multiply(self._bti_dir[rows], bti_t, out=scratch)
-        if self._bti_dir_max * bti_t > self.tech.nbti.max_shift:
-            telemetry.count("aging.clip_applied")
-            np.minimum(scratch, self.tech.nbti.max_shift, out=scratch)
-        else:
-            telemetry.count("aging.clip_skipped")
-        od -= scratch
-        np.multiply(self._hci_dir[rows], hci_t, out=scratch)
-        if self._hci_dir_max * hci_t > self.tech.hci.max_shift:
-            telemetry.count("aging.clip_applied")
-            np.minimum(scratch, self.tech.hci.max_shift, out=scratch)
-        else:
-            telemetry.count("aging.clip_skipped")
-        od -= scratch
-        return od
 
     def delta_grid(self, years: Sequence[float]) -> np.ndarray:
         """Deltas over a full year grid, shape

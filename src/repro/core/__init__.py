@@ -13,7 +13,6 @@ from .pairing import (
 from .population import (
     BatchStudy,
     PopulationView,
-    batch_frequencies_from_overdrive,
     make_batch_study,
 )
 from .readout import ReadoutConfig, compare_pairs, voted_response
@@ -37,7 +36,6 @@ __all__ = [
     "StaticPairing",
     "Study",
     "aro_design",
-    "batch_frequencies_from_overdrive",
     "compare_pairs",
     "conventional_design",
     "design_by_name",

@@ -7,7 +7,7 @@ preallocated row blocks — the population tensors of
 :class:`~repro.core.population.BatchStudy` and the parallel engine's
 shards, and the staging chunks the out-of-core
 :class:`~repro.store.store.PopulationStore` copies to its segments — so
-all three engines fill their tensors through the same code, and a row
+both column sources are filled through the same code, and a row
 holds the same bytes whichever engine, block size or process produced
 it.
 

@@ -1,7 +1,8 @@
-"""Fused evaluation kernel: the single-pass hot path of the batched engines.
+"""Fused evaluation kernel: the single-pass hot path of the study engine.
 
-``repro.kernel`` owns the per-block arithmetic every population engine
-streams its chips through:
+``repro.kernel`` owns the per-block arithmetic the study engine streams
+every chip through, whether its columns live in RAM or in the
+out-of-core store:
 
 * :mod:`repro.kernel.fused` — the fabricate → age → compare chain as one
   chip-axis-blocked pass: the frequency block kernel, the per-block
@@ -16,10 +17,11 @@ streams its chips through:
   response-bit identity between float32 and float64 before the reduced
   precision is allowed to gate anything.
 
-The engines (:class:`repro.core.population.BatchStudy`,
-:class:`repro.store.study.StoreStudy`, the parallel coordinator) stay
-the public surface; this package is where their shared arithmetic lives
-so serial / parallel / out-of-core stay bit-identical by construction.
+The engine (:class:`repro.core.population.BatchStudy`, bound to RAM
+tensors or to a store window as :class:`repro.store.study.StoreStudy`,
+and fanned out by the parallel coordinator) stays the public surface;
+its one corner loop is the kernel's only caller, so serial / parallel /
+out-of-core stay bit-identical by construction.
 """
 
 from .backend import ArrayBackend, register_backend, resolve_backend

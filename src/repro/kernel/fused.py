@@ -4,12 +4,15 @@ One population sweep grid point used to be three full-tensor passes —
 assemble overdrives, turn them into frequencies, then re-read the
 frequency tensor once per derived quantity (bits, margins, histogram
 counts).  This module collapses that to a single chip-axis-blocked
-stream: per block the kernel fabricates periods from thresholds
-(:func:`frequency_block_kernel`), :func:`finalize_period_block` checks
-finiteness and flips them to frequencies in place, and the caller's
-*sinks* consume the fresh frequency rows — in bounded super-block
-windows that amortise per-call dispatch while keeping the traffic far
-below a full-tensor re-read — to emit response bits
+stream, driven by the one corner loop of
+:class:`~repro.core.population.BatchStudy` over either column source
+(RAM tensors or an out-of-core store window): per block the kernel
+fabricates periods from thresholds (:func:`frequency_block_kernel`),
+:func:`finalize_period_block` checks finiteness and flips them to
+frequencies in place, and the caller's *sinks* consume the fresh
+frequency rows — once per outer block, a window that amortises
+per-call dispatch while keeping the traffic far below a full-tensor
+re-read — to emit response bits
 (:class:`ResponseBlockSink`) or signed-margin histogram counts
 (:class:`MarginHistogramSink`).
 
@@ -52,21 +55,23 @@ def frequency_block_kernel(
     period_out,
     tc_rows=None,
     tc_coeff: float = 0.0,
-    subtract_aging=None,
+    aging=(),
     xp: ArrayBackend = NUMPY,
 ) -> None:
     """One chip-axis block of the batched frequency kernel, into ``period_out``.
 
-    The exact operation sequence — subtract, optional tc term, optional
-    aging subtraction, ``exp(-alpha * log(od))`` in place, one BLAS
-    matvec — shared by :class:`~repro.core.population.BatchStudy` and the
-    out-of-core :class:`repro.store.study.StoreStudy`, so the two paths
-    are bit-identical by construction rather than by parallel
-    maintenance.  ``subtract_aging(od, scratch)`` performs ``od -=
-    delta`` for this block; the caller owns the (memoised vs factored)
-    grouping choice.  Must run inside ``xp.errstate()``; ``period_out``
-    holds *periods* — the caller checks finiteness and takes the
-    reciprocal (see :func:`finalize_period_block`).
+    The exact operation sequence — subtract, optional tc term, the aging
+    terms, ``exp(-alpha * log(od))`` in place, one BLAS matvec — that
+    every corner of :class:`~repro.core.population.BatchStudy` runs,
+    whether its columns live in RAM or in the out-of-core store, so the
+    engines are bit-identical by construction.  ``aging`` holds
+    ``(col_rows, factor, cap, clip)`` terms (see
+    :func:`repro.aging.simulator.aging_terms`); each does ``od -=
+    min(col_rows * factor, cap)``, skipping the minimum when ``clip`` is
+    false because the caller proved it a no-op.  Must run inside
+    ``xp.errstate()``; ``period_out`` holds *periods* — the caller
+    checks finiteness and takes the reciprocal (see
+    :func:`finalize_period_block`).
 
     ``xp`` routes every array operation through the backend seam; the
     default :data:`~repro.kernel.backend.NUMPY` binds the numpy ufuncs
@@ -77,8 +82,11 @@ def frequency_block_kernel(
         # off nominal temperature the tc mismatch term is non-zero
         xp.multiply(tc_rows, tc_coeff, out=scratch)
         od -= scratch
-    if subtract_aging is not None:
-        subtract_aging(od, scratch)
+    for col_rows, factor, cap, clip in aging:
+        xp.multiply(col_rows, factor, out=scratch)
+        if clip:
+            xp.minimum(scratch, cap, out=scratch)
+        od -= scratch
     # od ** -alpha as exp(-alpha * log(od)), in place — measurably
     # faster than np.power and within a couple of ULPs of it;
     # non-positive overdrives surface as NaN/inf periods for the

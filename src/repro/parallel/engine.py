@@ -26,9 +26,9 @@ engine.  Design invariants:
   shard under its ``parallel.evaluate`` span, and emits the merged
   per-shard progress heartbeats itself as replies arrive.
 
-The coordinator memoises concatenated frequency tensors per
-``(t_years, conditions)`` corner — mirroring :class:`BatchStudy`'s memo —
-so repeated golden-response queries do not re-enter the pool.
+The coordinator memoises concatenated frequency tensors per corner in
+the serial engine's own :class:`~repro.core.population.CornerMemo`, so
+repeated golden-frequency queries do not re-enter the pool.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import itertools
 import os
 import pathlib
 import tempfile
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import List, Optional, Union
 
@@ -47,7 +46,7 @@ from .. import telemetry
 from .._rng import RngLike, spawn, spawn_keys
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..core.base import PufDesign
-from ..core.population import BatchStudy, make_batch_study
+from ..core.population import BatchStudy, CornerMemo, corner_key, make_batch_study
 from ..environment.conditions import OperatingConditions
 from ..forensics import hook as _forensics_hook
 from ..telemetry.tracer import Span
@@ -56,6 +55,22 @@ from .worker import EvalRequest, ShardReport, evaluate_shard, worker_init
 
 #: distinguishes shard tokens of different studies within one process
 _study_counter = itertools.count()
+
+
+def _check_engine(jobs: int, store: str, dtype: str) -> None:
+    """Reject an engine selection no engine implements."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if store not in ("ram", "mmap"):
+        raise ValueError(f"store must be 'ram' or 'mmap', got {store!r}")
+    if dtype not in ("float64", "float32"):
+        raise ValueError(f"dtype must be 'float64' or 'float32', got {dtype!r}")
+    if store == "mmap" and dtype != "float64":
+        # the store's on-disk segments are float64 and its kernels
+        # promise bit-identity with the dense path — a mixed tier
+        # would silently compute in float64-then-cast, which is
+        # neither tier, so refuse instead
+        raise ValueError("store='mmap' supports dtype='float64' only")
 
 
 class ParallelBatchStudy:
@@ -69,9 +84,8 @@ class ParallelBatchStudy:
     lifecycle so call sites can treat both engines uniformly.
     """
 
-    #: number of (t_years, conditions) corners kept in the coordinator's
-    #: concatenated-frequency memo (mirrors BatchStudy.MEMO_SIZE)
-    MEMO_SIZE = 32
+    #: number of corners kept in the coordinator's concatenated-frequency memo
+    MEMO_SIZE = BatchStudy.MEMO_SIZE
 
     def __init__(
         self,
@@ -88,22 +102,9 @@ class ParallelBatchStudy:
         store_dir: Optional[str] = None,
         dtype: str = "float64",
     ):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        _check_engine(jobs, store, dtype)
         if n_chips < 1:
             raise ValueError("n_chips must be positive")
-        if store not in ("ram", "mmap"):
-            raise ValueError(f"store must be 'ram' or 'mmap', got {store!r}")
-        if dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"dtype must be 'float64' or 'float32', got {dtype!r}"
-            )
-        if store == "mmap" and dtype != "float64":
-            # the store's on-disk segments are float64 and its kernels
-            # promise bit-identity with the dense path — a mixed tier
-            # would silently compute in float64-then-cast, which is
-            # neither tier, so refuse instead
-            raise ValueError("store='mmap' supports dtype='float64' only")
         mission = mission or MissionProfile()
         # Consume the RNG exactly like make_batch_study / make_study
         # (fabrication child first, then aging), then derive the whole
@@ -160,7 +161,7 @@ class ParallelBatchStudy:
         self._n_chips = n_chips
         self._mp_context = mp_context
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._freq_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        self._freq_memo = CornerMemo(self.MEMO_SIZE, "parallel.corner_memo_hits")
 
     # ---- geometry ----------------------------------------------------
 
@@ -328,22 +329,7 @@ class ParallelBatchStudy:
 
         Shape ``(n_chips, n_ros)``; memoised read-only per corner.
         """
-        cond = conditions or OperatingConditions.nominal()
-        key = (float(t_years), cond)
-        cached = self._freq_memo.get(key)
-        if cached is not None:
-            self._freq_memo.move_to_end(key)
-            telemetry.count("parallel.corner_memo_hits")
-            return cached
-        telemetry.count("parallel.corner_memo_misses")
-        freqs = self._evaluate(
-            [EvalRequest("frequencies", float(t_years), cond)]
-        )[0]
-        freqs.flags.writeable = False
-        self._freq_memo[key] = freqs
-        if len(self._freq_memo) > self.MEMO_SIZE:
-            self._freq_memo.popitem(last=False)
-        return freqs
+        return self._merged(corner_key(t_years, conditions))
 
     def responses(
         self,
@@ -361,14 +347,12 @@ class ParallelBatchStudy:
         collector slot severed, so the tape sees exactly one grid per
         corner, identical to the serial engine's.
         """
-        cond = conditions or OperatingConditions.nominal()
-        bits = self._evaluate(
-            [EvalRequest("responses", float(t_years), cond, challenge)]
-        )[0]
+        t, cond = corner_key(t_years, conditions)
+        bits = self._evaluate([EvalRequest("responses", t, cond, challenge)])[0]
         if _forensics_hook.active_collector() is not None:
             pairs = self.design.pairing.pairs(self.design.n_ros, challenge)
             _forensics_hook.record_response_margins(
-                self.frequencies(t_years, cond), pairs, float(t_years), cond
+                self.frequencies(t, cond), pairs, t, cond
             )
         return bits
 
@@ -381,33 +365,20 @@ class ParallelBatchStudy:
         """Single-mechanism counterfactual frequencies, merged from the
         shards; row-identical to :meth:`BatchStudy.mechanism_frequencies`
         (the kernel is chip-row independent)."""
-        if mechanism not in ("bti", "hci"):
-            raise ValueError(
-                f"mechanism must be 'bti' or 'hci', got {mechanism!r}"
-            )
-        cond = conditions or OperatingConditions.nominal()
-        key = (float(t_years), cond, mechanism)
+        return self._merged(corner_key(t_years, conditions, mechanism))
+
+    def _merged(self, key: tuple) -> np.ndarray:
+        """One corner's frequencies: memoised, or merged from the shards."""
         cached = self._freq_memo.get(key)
         if cached is not None:
-            self._freq_memo.move_to_end(key)
-            telemetry.count("parallel.corner_memo_hits")
             return cached
-        telemetry.count("parallel.mechanism_passes")
-        freqs = self._evaluate(
-            [
-                EvalRequest(
-                    "mechanism_frequencies",
-                    float(t_years),
-                    cond,
-                    mechanism=mechanism,
-                )
-            ]
-        )[0]
-        freqs.flags.writeable = False
-        self._freq_memo[key] = freqs
-        if len(self._freq_memo) > self.MEMO_SIZE:
-            self._freq_memo.popitem(last=False)
-        return freqs
+        telemetry.count("parallel.corner_memo_misses")
+        t, cond = key[0], key[1]
+        if len(key) > 2:
+            request = EvalRequest("mechanism_frequencies", t, cond, mechanism=key[2])
+        else:
+            request = EvalRequest("frequencies", t, cond)
+        return self._freq_memo.put(key, self._evaluate([request])[0])
 
     def margin_histogram(
         self,
@@ -425,12 +396,13 @@ class ParallelBatchStudy:
         engine's exactly for any worker count.
         """
         edges = np.asarray(edges, dtype=float)
+        t, cond = corner_key(t_years, conditions)
         counts = self._evaluate(
             [
                 EvalRequest(
                     "margin_hist",
-                    float(t_years),
-                    conditions or OperatingConditions.nominal(),
+                    t,
+                    cond,
                     challenge,
                     hist_edges=tuple(float(e) for e in edges),
                 )
@@ -468,12 +440,7 @@ def make_parallel_study(
     selects the reduced-precision kernel tier (RAM engines only; see
     :mod:`repro.kernel.validate` for the identity contract).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if store not in ("ram", "mmap"):
-        raise ValueError(f"store must be 'ram' or 'mmap', got {store!r}")
-    if store == "mmap" and dtype != "float64":
-        raise ValueError("store='mmap' supports dtype='float64' only")
+    _check_engine(jobs, store, dtype)
     if jobs == 1:
         if store == "mmap":
             from ..store import make_store_study

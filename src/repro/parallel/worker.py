@@ -10,7 +10,9 @@ The contract with the coordinator (:mod:`repro.parallel.engine`):
   same child streams, as a serial :func:`make_batch_study` uses for
   those chips — and keeps the resulting shard
   :class:`~repro.core.population.BatchStudy` in a small LRU cache so a
-  year sweep pays fabrication once, not once per grid point;
+  year sweep pays fabrication once, not once per grid point (with
+  ``--store mmap`` the shard is the same engine bound to a window of the
+  shared store, a :class:`~repro.store.study.StoreStudy`);
 * the reply is a :class:`ShardReport`: the requested arrays (chip-axis
   slices, concatenated coordinator-side in shard order) plus a telemetry
   digest — counters and per-span wall-time totals from a worker-local
@@ -30,7 +32,7 @@ import pathlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,7 +144,7 @@ def worker_init() -> None:
 #: token.  Tasks are distributed by the pool, not pinned, so one worker
 #: may see several shards over a study's lifetime; the LRU bound keeps a
 #: long-lived worker from accumulating every shard of every study.
-_SHARD_CACHE: "OrderedDict[str, Union[BatchStudy, object]]" = OrderedDict()
+_SHARD_CACHE: "OrderedDict[str, BatchStudy]" = OrderedDict()
 _SHARD_CACHE_SIZE = 8
 
 
@@ -199,7 +201,6 @@ def attach_shard(spec: ShardSpec):
             spec.design,
             store,
             mission=spec.mission,
-            idle_policy=spec.idle_policy,
             row_start=spec.chip_start,
             row_stop=spec.chip_start + spec.n_chips,
             spill=ResultCache(root / "spill"),

@@ -257,8 +257,10 @@ class PopulationStore:
         simulator = AgingSimulator(
             design.tech, design.cell, mission, idle_policy=idle_policy
         )
+        #: the mission's stress profile, for single-mechanism corners
+        self.stress = simulator.stress
         self._duty_pow, self._tpy_pow = direction_powers(
-            design.tech, *stress_tensors(simulator.stress)
+            design.tech, *stress_tensors(self.stress)
         )
         self._cols: Dict[str, np.memmap] = {}
         self._flags: Dict[str, np.memmap] = {}

@@ -1,32 +1,33 @@
 """Out-of-core population evaluation over a :class:`PopulationStore`.
 
-:class:`StoreStudy` is the memory-bounded counterpart of
-:class:`~repro.core.population.BatchStudy`: the same design / mission
-bundle and the same batched API (``frequencies`` / ``responses`` /
-``mechanism_frequencies`` / ``margin_histogram``), but the population
-lives in the store's mmap segments instead of RAM tensors.  Evaluation
-walks the store block by block — materialising each block on first
-touch, streaming it through the *shared* per-block kernel
-(:func:`~repro.core.population.frequency_block_kernel`), then dropping
-its pages from the resident set — so peak RSS is a handful of
-block-sized work buffers regardless of population size.
+:class:`StoreStudy` is the memory-bounded form of
+:class:`~repro.core.population.BatchStudy`: the same engine — one
+corner loop, one memo, the same batched API — bound to a row window of
+a :class:`~repro.store.store.PopulationStore` instead of RAM tensors.
+The loop reads the store's mmap segments through the store's own
+``column`` / ``ensure_rows`` / ``release`` interface, one store block
+at a time: materialising each block on first touch, streaming it
+through the shared kernel, then dropping its pages from the resident
+set — so peak RSS is a handful of block-sized work buffers regardless
+of population size.
 
-Bit-identity with the in-RAM path holds by construction:
+Bit-identity with the in-RAM engine holds by construction:
 
 * the store fabricates from the same spawn keys with the same draw
-  order, so the column bytes equal the in-RAM tensors;
-* the kernel is the same function :class:`BatchStudy` calls, block
+  order and folds its aging columns with the same helpers, so the
+  column bytes equal the in-RAM tensors;
+* the corner loop and its kernel are the in-RAM engine's own; block
   boundaries only change *where* the identical elementwise chain is
   split;
-* the aging subtraction uses the same factored grouping as
-  :meth:`~repro.aging.simulator.PopulationAging.subtract_delta_into`
-  (coefficient x duty-power, then the scalar time power), with the
-  saturation clip applied unconditionally — a no-op below the cap, so
-  skipping vs applying it can never change a byte.
+* the store keeps no column maxima, so every saturation clip runs — a
+  no-op below the cap, so applying it where the in-RAM engine proves
+  it can skip never changes a byte.
 
-Corner results (the frequency memo) optionally **spill to disk**
+What this module adds is the window and geometry checks, the
+streaming decision, the spill of corner results to disk, and the
+ownership of a temporary store directory.  Corner results spill
 through the content-addressed :class:`repro.parallel.cache.ResultCache`
-array API instead of living in RAM; evicted corners delete their
+array API when the window streams; evicted corners delete their
 segment, bounding disk by the memo depth rather than the year grid.
 """
 
@@ -34,63 +35,46 @@ from __future__ import annotations
 
 import pathlib
 import tempfile
-import time
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from .. import telemetry
 from .._rng import RngLike
 from ..aging.schedule import IdlePolicy, MissionProfile
-from ..aging.simulator import AgingSimulator
 from ..core.base import PufDesign
-from ..core.population import (
-    BatchStudy,
-    _stage_weights,
-    batch_frequencies_from_overdrive,
-    frequency_block_kernel,
-)
-from ..core.readout import compare_pairs
-from ..kernel.fused import (
-    OVERDRIVE_ERROR,
-    MarginHistogramSink,
-    ResponseBlockSink,
-)
-from ..environment.conditions import OperatingConditions
-from ..forensics import hook as _forensics_hook
+from ..core.population import BatchStudy, CornerMemo
+# perfbench/layers.py install_sweep wraps this module's
+# frequency_block_kernel; the store's corners run the same kernel
+# through the shared loop in repro.core.population.
+from ..kernel.fused import frequency_block_kernel  # noqa: F401
 from ..parallel.cache import ResultCache, cache_key
-from ..transistor.technology import T_REF_K
-from ..variation.chip import NMOS, PMOS
-from .store import (
-    COLUMNS,
-    PopulationStore,
-    flush_rows,
-    release_rows,
-    remove_store,
-)
+from .store import PopulationStore, remove_store
 
 
-class StoreStudy:
+class StoreStudy(BatchStudy):
     """A population evaluated block-streamed from mmap segments.
 
     ``row_start`` / ``row_stop`` restrict the study to a chip-row window
     of the store — the parallel engine's workers each take one window
     over the *shared* segments, so a shard never re-fabricates or
     pickles a tensor.  All result arrays are indexed relative to the
-    window (row 0 is chip ``row_start``).
+    window (row 0 is chip ``row_start``).  ``spill`` is where streaming
+    corners go; ``own_root`` a store directory deleted on
+    :meth:`close`.
     """
 
-    #: corners kept in the in-RAM frequency memo (mirrors BatchStudy)
-    MEMO_SIZE = 32
-    #: corners kept on disk when spilling — each costs a population-sized
-    #: segment, so the memo is shallow and eviction deletes the bytes
-    SPILL_MEMO_SIZE = 4
     #: resident-set budget (bytes) above which the study streams: column
     #: and result pages are flushed and madvise(DONTNEED)-released after
-    #: every block.  Windows that fit the budget skip the release (the
-    #: refaults would cost more than the pages) and run at in-RAM speed.
+    #: every block, and corners spill to disk.  Windows that fit the
+    #: budget skip both (the refaults would cost more than the pages)
+    #: and run at in-RAM speed.
     RESIDENT_BUDGET_BYTES = 256 * 2**20
+
+    # An own name for the inherited method: perfbench/layers.py wraps
+    # BatchStudy.responses and StoreStudy.responses by name as two
+    # layers, and an inherited attribute would nest the first wrapper in
+    # the second (every store corner counted twice) and outlive the
+    # wrappers' removal.
+    responses = BatchStudy.responses
 
     def __init__(
         self,
@@ -98,7 +82,6 @@ class StoreStudy:
         store: PopulationStore,
         *,
         mission: MissionProfile,
-        idle_policy: Optional[IdlePolicy] = None,
         row_start: int = 0,
         row_stop: Optional[int] = None,
         spill: Optional[ResultCache] = None,
@@ -116,79 +99,37 @@ class StoreStudy:
                 f"row window [{row_start}, {row_stop}) outside the store's "
                 f"0..{store.n_chips}"
             )
-        self.design = design
         self.store = store
-        self.mission = mission
-        self._rows = (int(row_start), row_stop)
-        self._spill = spill
         self._own_root = own_root
-        # (t, cond[, mechanism]) -> (read-only array, spill key or None)
-        self._freq_memo: "OrderedDict[tuple, Tuple[np.ndarray, Optional[str]]]" = (
-            OrderedDict()
-        )
-        self._od_buf: Optional[np.ndarray] = None
-        self._scratch_buf: Optional[np.ndarray] = None
         self._closed = False
-
+        n_chips = row_stop - int(row_start)
+        per_chip = design.n_ros * design.n_stages * 2
         # Page-release policy.  madvise(DONTNEED) after every block is
         # what bounds RSS at million-chip scale, but every released page
         # is a refault on the next corner — pure overhead when the whole
         # row window would have fit in RAM anyway.  Stream (flush +
-        # release aggressively) only when this window's worst-case
-        # resident bytes (all columns plus one frequency corner) exceed
-        # the budget; below it, the page cache is left alone and the
-        # sweep runs at in-RAM speed.  Numerics are unaffected either
-        # way — madvise on a MAP_SHARED file mapping never loses data.
-        # At most 4 columns are resident in any one pass (vth, tc_scale,
-        # bti_dir, hci_dir — the raw *_coeff pair only backs the
-        # mechanism path, which reads one of them at a time).
-        per_chip = design.n_ros * design.n_stages * 2 * 8
-        window_bytes = self.n_chips * (per_chip * 4 + design.n_ros * 8)
+        # release aggressively, spill corners) only when this window's
+        # worst-case resident bytes (four float64 columns plus one
+        # frequency corner) exceed the budget.  Numerics are unaffected
+        # either way — madvise on a MAP_SHARED file mapping never loses
+        # data.  At most 4 columns are read by any one pass (vth,
+        # tc_scale and the two aging terms).
+        window_bytes = n_chips * (per_chip * 8 * 4 + design.n_ros * 8)
         self._streaming = window_bytes > self.RESIDENT_BUDGET_BYTES
-
-        # Time-independent aging stress tensors for the mechanism path,
-        # laid out exactly as PopulationAging.__init__ does (same
-        # expressions on the same (1, 1, n_stages, 2) arrays) so the
-        # delta_components grouping matches the in-RAM path byte for
-        # byte.  The golden-frequency path needs no factors here: the
-        # store's bti_dir/hci_dir columns carry them pre-folded.
-        simulator = AgingSimulator(
-            design.tech, design.cell, mission, idle_policy=idle_policy
+        memo = None
+        if spill is not None and self._streaming:
+            memo = CornerMemo(
+                self.SPILL_MEMO_SIZE, "batch.corner_memo_hits", spill, self._spill_key
+            )
+        self._bind(
+            design,
+            mission,
+            store,
+            (int(row_start), row_stop),
+            max(1, min(n_chips, store.block_size, self._BLOCK_ELEMS // per_chip)),
+            stress=store.stress,
+            memo=memo,
         )
-        stress = simulator.stress
-        n_stages = stress.n_stages
-        duty = np.empty((1, 1, n_stages, 2))
-        duty[0, 0, :, PMOS] = stress.nbti_duty[:, PMOS]
-        duty[0, 0, :, NMOS] = stress.pbti_duty[:, NMOS]
-        tpy = np.empty((1, 1, n_stages, 2))
-        tpy[0, 0, :, PMOS] = stress.transitions_per_year[:, PMOS]
-        tpy[0, 0, :, NMOS] = stress.transitions_per_year[:, NMOS]
-        self._duty = duty
-        self._tpy = tpy
-
-    # ---- geometry ----------------------------------------------------
-
-    @property
-    def n_chips(self) -> int:
-        return self._rows[1] - self._rows[0]
-
-    @property
-    def n_bits(self) -> int:
-        return self.design.n_bits
-
-    @property
-    def memo_size(self) -> int:
-        return self.SPILL_MEMO_SIZE if self._spilling else self.MEMO_SIZE
-
-    @property
-    def _spilling(self) -> bool:
-        # Corners go to disk only when the window actually streams: a
-        # window under the resident budget keeps RAM-sized corners in a
-        # deep in-RAM memo instead of paying file create/commit/reopen
-        # per corner.
-        return self._spill is not None and self._streaming
-
-    # ---- memoisation / spill -----------------------------------------
 
     def _spill_key(self, key: tuple) -> str:
         t, cond = key[0], key[1]
@@ -204,475 +145,26 @@ class StoreStudy:
         }
         return cache_key("store.frequencies", config)
 
-    def _lookup(self, key: tuple) -> Optional[np.ndarray]:
-        entry = self._freq_memo.get(key)
-        if entry is not None:
-            self._freq_memo.move_to_end(key)
-            telemetry.count("store.corner_memo_hits")
-            return entry[0]
-        if self._spill is not None:
-            # a corner spilled by an earlier run against a persistent
-            # store directory is as good as a memo hit
-            spill_key = self._spill_key(key)
-            arr = self._spill.open_array(spill_key)
-            if arr is not None:
-                telemetry.count("store.corner_memo_hits")
-                self._memoise(key, arr, spill_key)
-                return arr
+    def _clip_bound(self, name: str) -> None:
+        """The store keeps no column maxima, so every clip runs."""
         return None
-
-    def _memoise(
-        self, key: tuple, freqs: np.ndarray, spill_key: Optional[str]
-    ) -> np.ndarray:
-        if not isinstance(freqs, np.memmap):
-            freqs.flags.writeable = False
-        self._freq_memo[key] = (freqs, spill_key)
-        while len(self._freq_memo) > self.memo_size:
-            _, (old, old_key) = self._freq_memo.popitem(last=False)
-            del old
-            if old_key is not None and self._spill is not None:
-                self._spill.discard_array(old_key)
-                telemetry.count("store.spill_evictions")
-        return freqs
-
-    def _alloc_result(self, key: tuple) -> Tuple[np.ndarray, Optional[str]]:
-        shape = (self.n_chips, self.design.n_ros)
-        if not self._spilling:
-            return np.empty(shape), None
-        spill_key = self._spill_key(key)
-        telemetry.count("store.spill_writes")
-        return self._spill.create_array(spill_key, shape), spill_key
-
-    def _seal_result(
-        self, out: np.ndarray, spill_key: Optional[str], meta: Dict[str, object]
-    ) -> np.ndarray:
-        """Publish a computed corner: commit + reopen read-only if spilled."""
-        if spill_key is None:
-            return out
-        out.flush()
-        del out
-        assert self._spill is not None
-        self._spill.commit_array(spill_key, meta=meta)
-        sealed = self._spill.open_array(spill_key)
-        if sealed is None:  # pragma: no cover - disk-level failure
-            raise RuntimeError("spilled corner vanished between commit and reopen")
-        return sealed
-
-    def _release_result(self, freqs: np.ndarray) -> None:
-        """Drop a spilled corner's pages from RSS after a full pass."""
-        if self._streaming and isinstance(freqs, np.memmap):
-            release_rows(freqs, 0, freqs.shape[0])
-
-    def drop_cached_corners(self) -> None:
-        """Forget every memoised corner, discarding spilled files too.
-
-        Benchmarks call this between rounds so every sweep pays the full
-        streaming cost (a cleared memo alone would satisfy the next
-        lookup from the spill directory).  A persistent store loses only
-        its cached corners — never its fabricated columns.
-        """
-        while self._freq_memo:
-            _, (arr, spill_key) = self._freq_memo.popitem(last=False)
-            del arr
-            if spill_key is not None and self._spill is not None:
-                self._spill.discard_array(spill_key)
-
-    # ---- work buffers ------------------------------------------------
-
-    def _kernel_block(self) -> int:
-        per_chip = self.design.n_ros * self.design.n_stages * 2
-        block = max(1, BatchStudy._BLOCK_ELEMS // per_chip)
-        return max(1, min(self.n_chips, self.store.block_size, block))
-
-    def _work_buffers(self) -> tuple:
-        if self._od_buf is None:
-            shape = (
-                self._kernel_block(),
-                self.design.n_ros,
-                self.design.n_stages,
-                2,
-            )
-            self._od_buf = np.empty(shape)
-            self._scratch_buf = np.empty(shape)
-        return self._od_buf, self._scratch_buf
-
-    def _store_blocks(self):
-        """Store-block-aligned ``[lo, hi)`` row ranges covering the window."""
-        r0, r1 = self._rows
-        bs = self.store.block_size
-        lo = r0
-        while lo < r1:
-            hi = min(r1, (lo // bs + 1) * bs)
-            yield lo, hi
-            lo = hi
-
-    # ---- batched evaluation ------------------------------------------
-
-    def frequencies(
-        self,
-        t_years: float = 0.0,
-        conditions: Optional[OperatingConditions] = None,
-    ) -> np.ndarray:
-        """True mean frequency of every oscillator of every chip (hertz).
-
-        Shape ``(n_chips, n_ros)``, bit-identical to
-        :meth:`BatchStudy.frequencies` over the same rows.  Spill mode
-        returns a read-only memmap of the on-disk corner segment.
-        """
-        cond = conditions or OperatingConditions.nominal()
-        t = float(t_years)
-        key = (t, cond)
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        return self._corner(key, t, cond)
-
-    def _corner(
-        self, key: tuple, t: float, cond: OperatingConditions, sinks: tuple = ()
-    ) -> np.ndarray:
-        """Compute, seal and memoise one frequency corner (memo miss path).
-
-        ``sinks`` ride along into the streaming compute so derived
-        quantities (bits, histogram counts) are taken from each block
-        while its pages are still resident, instead of re-faulting the
-        whole corner segment in a second pass.
-        """
-        telemetry.count("store.corner_memo_misses")
-        if sinks:
-            telemetry.count("store.fused_passes")
-        sp = telemetry.start_span(
-            "store.frequencies",
-            t_years=t,
-            temperature_k=cond.temperature_k,
-            n_chips=self.n_chips,
-            n_ros=self.design.n_ros,
-        )
-        out, spill_key = self._alloc_result(key)
-        try:
-            self._compute_frequencies(t, cond, out, sinks)
-        except Exception:
-            if spill_key is not None and self._spill is not None:
-                del out
-                self._spill.discard_array(spill_key)
-            telemetry.end_span(sp)
-            raise
-        freqs = self._seal_result(
-            out, spill_key, {"t_years": t, "temperature_k": cond.temperature_k}
-        )
-        telemetry.end_span(sp)
-        tr = telemetry.active()
-        if tr is not None and sp is not None:
-            tr.observe("store.corner_s", sp.duration_ns / 1e9)
-        return self._memoise(key, freqs, spill_key)
-
-    def _compute_frequencies(
-        self,
-        t: float,
-        cond: OperatingConditions,
-        out: np.ndarray,
-        sinks: tuple = (),
-    ) -> None:
-        tech = self.design.tech
-        vdd = cond.effective_vdd(tech)
-        delta_temp = cond.temperature_k - T_REF_K
-        weights = _stage_weights(
-            tech,
-            self.design.n_stages,
-            vdd=vdd,
-            temperature_k=cond.temperature_k,
-            stage0_penalty=self.design.cell.stage0_penalty,
-            c_load_factor=self.design.cell.c_load_factor,
-        )
-        w_flat = np.ascontiguousarray(weights.reshape(-1))
-        neg_alpha = -tech.alpha
-
-        cols = ["vth"]
-        if delta_temp != 0.0:
-            cols.append("tc_scale")
-        if t > 0.0:
-            cols += ["bti_dir", "hci_dir"]
-        vth_col = self.store.column("vth")
-        tc_col = self.store.column("tc_scale") if delta_temp != 0.0 else None
-        bti_col = self.store.column("bti_dir") if t > 0.0 else None
-        hci_col = self.store.column("hci_dir") if t > 0.0 else None
-        bti_t = t ** tech.nbti.n
-        hci_t = t ** tech.hci.m
-        cap_bti = tech.nbti.max_shift
-        cap_hci = tech.hci.max_shift
-
-        od_buf, scratch_buf = self._work_buffers()
-        kb = od_buf.shape[0]
-        r0, r1 = self._rows
-        n_blocks = -(-self.n_chips // kb)
-        telemetry.count("store.kernel_blocks", n_blocks)
-        # one tracer lookup per corner; block clock reads only when tracing
-        tr = telemetry.active()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for blo, bhi in self._store_blocks():
-                self.store.ensure_rows(blo, bhi, cols)
-                for lo in range(blo, bhi, kb):
-                    hi = min(lo + kb, bhi)
-                    m = hi - lo
-                    if tr is not None:
-                        _blk0 = time.perf_counter_ns()
-                    if t > 0.0:
-                        # same factored grouping as subtract_delta_into:
-                        # (coeff * duty**n) * t**n, clip, subtract — the
-                        # duty**n fold is baked into the *_dir columns at
-                        # fabrication, and the clip applied
-                        # unconditionally (idempotent below the cap, so
-                        # bitwise equal to the skip branch)
-                        def subtract(od, scratch, lo=lo, hi=hi):
-                            np.multiply(bti_col[lo:hi], bti_t, out=scratch)
-                            np.minimum(scratch, cap_bti, out=scratch)
-                            od -= scratch
-                            np.multiply(hci_col[lo:hi], hci_t, out=scratch)
-                            np.minimum(scratch, cap_hci, out=scratch)
-                            od -= scratch
-                    else:
-                        subtract = None
-                    out_rows = out[lo - r0 : hi - r0]
-                    frequency_block_kernel(
-                        od_buf[:m],
-                        scratch_buf[:m],
-                        vth_col[lo:hi],
-                        vdd=vdd,
-                        neg_alpha=neg_alpha,
-                        w_flat=w_flat,
-                        period_out=out_rows,
-                        tc_rows=tc_col[lo:hi] if tc_col is not None else None,
-                        tc_coeff=tech.vth_tc * delta_temp,
-                        subtract_aging=subtract,
-                    )
-                    if not np.isfinite(out_rows).all():
-                        raise ValueError(OVERDRIVE_ERROR)
-                    np.reciprocal(out_rows, out=out_rows)
-                    if tr is not None:
-                        tr.observe(
-                            "store.block_s",
-                            (time.perf_counter_ns() - _blk0) / 1e9,
-                        )
-                # sinks consume the store block's fresh frequency rows in
-                # one call — coarse enough to amortise their per-call
-                # dispatch, and necessarily before the streaming release
-                # below evicts the pages they read
-                for sink in sinks:
-                    sink(blo - r0, bhi - r0, out[blo - r0 : bhi - r0])
-                # pages of this store block (inputs and, when spilling,
-                # the freshly written output rows) leave the resident set
-                if self._streaming:
-                    self.store.release(cols, blo, bhi)
-                    if isinstance(out, np.memmap):
-                        flush_rows(out, blo - r0, bhi - r0)
-                        release_rows(out, blo - r0, bhi - r0)
-                telemetry.progress("store.frequencies", bhi - r0, self.n_chips)
-
-    def responses(
-        self,
-        challenge: Optional[int] = None,
-        t_years: float = 0.0,
-        *,
-        conditions: Optional[OperatingConditions] = None,
-    ) -> np.ndarray:
-        """Golden responses of every chip at ``t_years``.
-
-        Shape ``(n_chips, n_bits)`` uint8, bit-identical to the in-RAM
-        path — comparisons are elementwise, so chunking over a memmap
-        changes nothing.
-
-        On a corner-memo miss the bits are emitted by the streaming
-        compute itself (fused: no second pass re-faulting the corner
-        segment); on a hit they are chunk-compared from the cached
-        corner.  Identical comparison either way.
-        """
-        telemetry.count("store.response_passes")
-        cond = conditions or OperatingConditions.nominal()
-        t = float(t_years)
-        pairs = self.design.pairing.pairs(self.design.n_ros, challenge)
-        key = (t, cond)
-        freqs = self._lookup(key)
-        if freqs is not None:
-            n = self.n_chips
-            bits = np.empty((n, pairs.shape[0]), dtype=np.uint8)
-            step = self._kernel_block()
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                bits[lo:hi] = compare_pairs(
-                    freqs[lo:hi], pairs, self.design.tech, self.design.readout
-                )
-        else:
-            bits = np.empty(
-                (self.n_chips, pairs.shape[0]), dtype=np.uint8
-            )
-            sink = ResponseBlockSink(
-                pairs, self.design.tech, self.design.readout, bits
-            )
-            freqs = self._corner(key, t, cond, sinks=(sink,))
-        # forensics hook, mirroring ParallelBatchStudy: only touch the
-        # full frequency array when a collector is actually installed
-        if _forensics_hook.active_collector() is not None:
-            _forensics_hook.record_response_margins(freqs, pairs, t, cond)
-        self._release_result(freqs)
-        return bits
-
-    def mechanism_frequencies(
-        self,
-        t_years: float,
-        mechanism: str,
-        conditions: Optional[OperatingConditions] = None,
-    ) -> np.ndarray:
-        """Counterfactual frequencies with one aging mechanism active.
-
-        Matches :meth:`BatchStudy.mechanism_frequencies` bit for bit:
-        the exact :meth:`~repro.aging.simulator.PopulationAging.delta_components`
-        grouping (``coeff * (duty * t)**n``), the unconditional-but-
-        idempotent clip, and the same
-        :func:`batch_frequencies_from_overdrive` tail per block.
-        """
-        if mechanism not in ("bti", "hci"):
-            raise ValueError(f"mechanism must be 'bti' or 'hci', got {mechanism!r}")
-        cond = conditions or OperatingConditions.nominal()
-        t = float(t_years)
-        if t < 0:
-            raise ValueError("t_years must be non-negative")
-        key = (t, cond, mechanism)
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        telemetry.count("store.mechanism_passes")
-        tech = self.design.tech
-        vdd = cond.effective_vdd(tech)
-        delta_temp = cond.temperature_k - T_REF_K
-        weights = _stage_weights(
-            tech,
-            self.design.n_stages,
-            vdd=vdd,
-            temperature_k=cond.temperature_k,
-            stage0_penalty=self.design.cell.stage0_penalty,
-            c_load_factor=self.design.cell.c_load_factor,
-        )
-        cols = ["vth"]
-        if delta_temp != 0.0:
-            cols.append("tc_scale")
-        coeff_name = "bti_coeff" if mechanism == "bti" else "hci_coeff"
-        if t > 0.0:
-            cols.append(coeff_name)
-        vth_col = self.store.column("vth")
-        tc_col = self.store.column("tc_scale") if delta_temp != 0.0 else None
-        coeff_col = self.store.column(coeff_name) if t > 0.0 else None
-        if mechanism == "bti":
-            pow_mech = np.power(self._duty * t, tech.nbti.n)
-            cap = tech.nbti.max_shift
-        else:
-            pow_mech = np.power(
-                (self._tpy * t) / tech.hci.ref_transitions, tech.hci.m
-            )
-            cap = tech.hci.max_shift
-
-        out, spill_key = self._alloc_result(key)
-        r0, r1 = self._rows
-        od_buf, scratch_buf = self._work_buffers()
-        kb = od_buf.shape[0]
-        with telemetry.span(
-            "store.mechanism_frequencies",
-            t_years=t,
-            mechanism=mechanism,
-            n_chips=self.n_chips,
-        ):
-            for blo, bhi in self._store_blocks():
-                self.store.ensure_rows(blo, bhi, cols)
-                for lo in range(blo, bhi, kb):
-                    hi = min(lo + kb, bhi)
-                    m = hi - lo
-                    od = od_buf[:m]
-                    scratch = scratch_buf[:m]
-                    np.subtract(vdd, vth_col[lo:hi], out=od)
-                    if tc_col is not None:
-                        np.multiply(
-                            tc_col[lo:hi], tech.vth_tc * delta_temp, out=scratch
-                        )
-                        od -= scratch
-                    if coeff_col is not None:
-                        np.multiply(coeff_col[lo:hi], pow_mech, out=scratch)
-                        np.minimum(scratch, cap, out=scratch)
-                        od -= scratch
-                    out[lo - r0 : hi - r0] = batch_frequencies_from_overdrive(
-                        od, tech, weights
-                    )
-                if self._streaming:
-                    self.store.release(cols, blo, bhi)
-                    if isinstance(out, np.memmap):
-                        flush_rows(out, blo - r0, bhi - r0)
-                        release_rows(out, blo - r0, bhi - r0)
-        freqs = self._seal_result(
-            out,
-            spill_key,
-            {
-                "t_years": t,
-                "temperature_k": cond.temperature_k,
-                "mechanism": mechanism,
-            },
-        )
-        return self._memoise(key, freqs, spill_key)
-
-    def margin_histogram(
-        self,
-        edges: np.ndarray,
-        challenge: Optional[int] = None,
-        t_years: float = 0.0,
-        *,
-        conditions: Optional[OperatingConditions] = None,
-    ) -> np.ndarray:
-        """Histogram counts of the signed response margins (int64).
-
-        Accumulated block by block; binning is per-element and counts
-        merge by addition, so the result equals the one-shot in-RAM
-        histogram exactly.  On a corner-memo miss the counts come out of
-        the streaming compute itself via a
-        :class:`~repro.kernel.fused.MarginHistogramSink`; on a hit the
-        cached corner is chunk-binned.
-        """
-        from ..metrics.margins import margin_histogram, relative_margins
-
-        cond = conditions or OperatingConditions.nominal()
-        t = float(t_years)
-        pairs = self.design.pairing.pairs(self.design.n_ros, challenge)
-        key = (t, cond)
-        freqs = self._lookup(key)
-        if freqs is not None:
-            counts = np.zeros(len(edges) - 1, dtype=np.int64)
-            n = self.n_chips
-            step = self._kernel_block()
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                counts += margin_histogram(
-                    relative_margins(freqs[lo:hi], pairs), edges
-                )
-        else:
-            sink = MarginHistogramSink(pairs, edges)
-            freqs = self._corner(key, t, cond, sinks=(sink,))
-            counts = sink.counts
-        self._release_result(freqs)
-        return counts
 
     # ---- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
-        """Release mappings; delete the store root if this study owns it."""
+        """Release mappings; delete the store root if this study owns it.
+
+        Spilled corners stay on disk with a persistent store, for the
+        next study over the same rows to find.
+        """
         if self._closed:
             return
         self._closed = True
-        self._freq_memo.clear()
-        self._od_buf = self._scratch_buf = None
+        self._freq_memo.clear(discard=False)
+        self._buffers = None
         self.store.close()
         if self._own_root is not None:
             remove_store(self._own_root)
-
-    def __enter__(self) -> "StoreStudy":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
         try:
@@ -721,12 +213,10 @@ def make_store_study(
             rng=rng,
             block_size=block_size,
         )
-    spill = ResultCache(root / "spill")
     return StoreStudy(
         design,
         store,
         mission=mission,
-        idle_policy=idle_policy,
-        spill=spill,
+        spill=ResultCache(root / "spill"),
         own_root=own_root,
     )

@@ -45,6 +45,6 @@ class TestDeltaComponents:
             aging.delta_components(-1.0)
 
     def test_does_not_pollute_delta_memo(self, aging):
-        before = aging.cached_delta(3.25)
+        before = aging._memo.get(3.25)
         aging.delta_components(3.25)
-        assert aging.cached_delta(3.25) is before
+        assert aging._memo.get(3.25) is before

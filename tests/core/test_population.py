@@ -200,6 +200,22 @@ class TestMemoisation:
         assert np.array_equal(refreshed, first)
 
 
+class TestOrderIndependence:
+    def test_aged_instances_leave_frequencies_unchanged(self):
+        """Materialising the exact-grouping delta (``aged_instances``)
+        must not change a later corner: the bytes equal a fresh study's
+        and the out-of-core engine's."""
+        from repro.store import make_store_study
+
+        design = aro_design(n_ros=64)
+        probed = make_batch_study(design, 40, rng=11)
+        probed.aged_instances(10.0)
+        got = probed.frequencies(10.0).tobytes()
+        assert got == make_batch_study(design, 40, rng=11).frequencies(10.0).tobytes()
+        with make_store_study(design, 40, rng=11) as store:
+            assert got == np.asarray(store.frequencies(10.0)).tobytes()
+
+
 class TestPopulationView:
     def test_from_chips_round_trips(self, paths):
         study, _ = paths

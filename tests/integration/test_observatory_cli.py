@@ -61,8 +61,8 @@ class TestMetricsPayload:
         _, metrics, _ = observatory_run
         payload = json.loads(metrics.read_text())
         assert payload["format"] == 3
-        # mmap-store workers report the store-path kernel latencies
-        assert "store.block_s" in payload["histograms"]
+        # mmap-store workers report the shared corner loop's kernel latencies
+        assert "batch.block_s" in payload["histograms"]
         assert "store.fabricate_block_s" in payload["histograms"]
         assert payload["resource_samples"]
         sample = payload["resource_samples"][0]

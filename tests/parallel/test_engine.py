@@ -169,3 +169,36 @@ class TestTelemetryFolding:
         lines = [json.loads(l) for l in events.read_text().splitlines()]
         worker_stages = {"batch.frequencies", "aging.sample_prefactors"}
         assert not [e for e in lines if e.get("stage") in worker_stages]
+
+
+#: the engines make_parallel_study can return, by the knobs selecting them
+ENGINES = {
+    "serial": dict(jobs=1),
+    "mmap": dict(jobs=1, store="mmap"),
+    "jobs2": dict(jobs=2),
+}
+
+#: every public evaluation method, called at age ``t``
+METHODS = {
+    "frequencies": lambda study, t: study.frequencies(t),
+    "responses": lambda study, t: study.responses(t_years=t),
+    "mechanism_frequencies": lambda study, t: study.mechanism_frequencies(t, "bti"),
+    "margin_histogram": lambda study, t: study.margin_histogram(
+        np.linspace(-0.1, 0.1, 9), t_years=t
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ENGINES))
+def any_engine(request):
+    with make_parallel_study(DESIGN, 6, rng=SEED, **ENGINES[request.param]) as study:
+        yield study
+
+
+class TestAgeValidation:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("t", [-1.0, float("nan")])
+    def test_negative_or_nan_age_rejected(self, any_engine, method, t):
+        """Never silently evaluated as fresh silicon, on any engine."""
+        with pytest.raises(ValueError, match="t_years must be non-negative"):
+            METHODS[method](any_engine, t)

@@ -88,5 +88,5 @@ class TestStreamingRegime:
                 again = two.frequencies(t_years=10.0)
             assert np.array_equal(ref, again)
             # served from the persisted spill, not recomputed
-            assert counters.counters.get("store.corner_memo_hits", 0) >= 1
-            assert counters.counters.get("store.kernel_blocks", 0) == 0
+            assert counters.counters.get("batch.corner_memo_hits", 0) >= 1
+            assert counters.counters.get("freq.kernel_blocks", 0) == 0

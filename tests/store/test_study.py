@@ -50,12 +50,34 @@ class TestBitIdentity:
                 serial.frequencies(5.0, cond), study.frequencies(5.0, cond)
             )
 
-    @pytest.mark.parametrize("mechanism", ["bti", "hci"])
-    def test_mechanism_decomposition(self, serial, mechanism):
-        with make_store_study(DESIGN, N_CHIPS, rng=SEED, block_size=5) as study:
+    @pytest.mark.parametrize(
+        "mechanism, case",
+        [
+            pytest.param(m, c, id=m if c == "nominal" else f"{m}-{c}")
+            for c in ("nominal", "hot-corner", "streaming", "jobs2")
+            for m in ("bti", "hci")
+        ],
+    )
+    def test_mechanism_decomposition(self, serial, monkeypatch, mechanism, case):
+        """Also off nominal (the tc term), forced to stream and spill,
+        and from parallel workers attached to one store."""
+        cond = None
+        if case == "hot-corner":
+            cond = OperatingConditions(temperature_k=celsius(85.0), vdd=1.1)
+        if case == "streaming":
+            monkeypatch.setattr(StoreStudy, "RESIDENT_BUDGET_BYTES", 0)
+        if case == "jobs2":
+            study = make_parallel_study(
+                DESIGN, N_CHIPS, rng=SEED, jobs=2, store="mmap", block_size=5
+            )
+        else:
+            study = make_store_study(DESIGN, N_CHIPS, rng=SEED, block_size=5)
+        with closing(study):
+            if case == "streaming":
+                assert study._streaming
             assert np.array_equal(
-                serial.mechanism_frequencies(10.0, mechanism),
-                study.mechanism_frequencies(10.0, mechanism),
+                serial.mechanism_frequencies(10.0, mechanism, cond),
+                study.mechanism_frequencies(10.0, mechanism, cond),
             )
 
     def test_margin_histogram(self, serial):
@@ -141,8 +163,8 @@ class TestLifecycle:
                 study.responses(t_years=10.0)  # memo hit, no kernel work
                 study.drop_cached_corners()
                 study.responses(t_years=10.0)  # recomputed
-            assert counters.counters.get("store.kernel_blocks", 0) > 0
-            assert counters.counters.get("store.corner_memo_hits", 0) >= 1
+            assert counters.counters.get("freq.kernel_blocks", 0) > 0
+            assert counters.counters.get("batch.corner_memo_hits", 0) >= 1
 
 
 class TestExperimentRouting:
