@@ -74,7 +74,7 @@ Execution flags:
   in the run manifest.
 
 ``history`` renders per-metric trends over a ledger (sparkline, latest
-value, rolling-baseline drift); ``check-anchors`` measures the paper's
+value, median+MAD drift verdict); ``check-anchors`` measures the paper's
 anchor experiments fresh (or judges an existing ledger via
 ``--from-ledger``) and exits non-zero when any anchor lands outside its
 fail band.
@@ -409,13 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=5,
-        help="rolling-baseline window in runs (default 5)",
+        help="trailing-median window in runs (default 5)",
     )
     history.add_argument(
         "--threshold",
         type=float,
         default=0.10,
-        help="relative drift threshold vs the baseline (default 0.10)",
+        help="relative floor of the median+MAD drift verdict (default 0.10)",
     )
     history.add_argument(
         "--last",
@@ -423,13 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="only the newest N recordings of each metric",
-    )
-    history.add_argument(
-        "--robust",
-        action="store_true",
-        help="use the median+MAD change-point detector instead of the "
-        "rolling-mean drift flag (short series stay in warm-up; the "
-        "threshold becomes the detector's relative noise floor)",
     )
 
     monitor = sub.add_parser(
@@ -984,21 +977,10 @@ def _cache_summary(
     return {"dir": str(cache.root), "hits": hits, "misses": misses}
 
 
-def _start_telemetry(
-    args: argparse.Namespace,
-    tracer_factory: Optional[Callable[[], telemetry.Tracer]] = None,
-) -> None:
-    """Install the tracer/emitter/sampler the flags ask for.
-
-    ``tracer_factory`` overrides the tracer construction — the serving
-    commands install an :class:`~repro.telemetry.AsyncTracer` so spans
-    propagate per task instead of per stack.
-    """
+def _start_telemetry(args: argparse.Namespace) -> None:
+    """Install the tracer/emitter/sampler the flags ask for."""
     if _telemetry_wanted(args):
-        if tracer_factory is None:
-            telemetry.install(telemetry.Tracer(memory=args.profile))
-        else:
-            telemetry.install(tracer_factory())
+        telemetry.install(telemetry.Tracer(memory=args.profile))
     if getattr(args, "events", None):
         max_bytes = getattr(args, "events_max_bytes", None)
         kwargs: Dict[str, Any] = {"max_bytes": max_bytes}
@@ -1155,7 +1137,6 @@ def _history_command(args: argparse.Namespace) -> int:
             window=args.window,
             threshold=args.threshold,
             last=args.last,
-            robust=args.robust,
         )
     )
     return 0
@@ -1485,9 +1466,7 @@ def _serve_command(args: argparse.Namespace) -> int:
     from .service import AuditTrail, FleetService, HelperStore, default_extractor
 
     config = exp.ExperimentConfig(seed=args.seed)
-    _start_telemetry(
-        args, tracer_factory=lambda: telemetry.AsyncTracer(memory=args.profile)
-    )
+    _start_telemetry(args)
     service = None
     try:
         service = FleetService(
@@ -1621,9 +1600,7 @@ def _loadgen_command(args: argparse.Namespace) -> int:
     if n_requests is None and args.duration is None:
         n_requests = 2000
     config = exp.ExperimentConfig(n_chips=args.chips, seed=args.seed)
-    _start_telemetry(
-        args, tracer_factory=lambda: telemetry.AsyncTracer(memory=args.profile)
-    )
+    _start_telemetry(args)
     try:
         report = asyncio.run(_loadgen_async(args, n_requests))
         tracer = telemetry.active()

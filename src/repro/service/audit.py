@@ -11,8 +11,9 @@ Unlike the progress emitter this writer must not drop lines, so there is
 no throttle; instead of paying an fsync-ish flush per request it buffers
 and flushes every :data:`FLUSH_EVERY` records (and on :meth:`close`) —
 at 10k+ auth/sec a per-line flush would dominate the serve loop.
-Reading back uses the ledger discipline: malformed lines are skipped and
-counted, never fatal.
+Opening repairs a torn tail left by a killed server
+(:func:`repro.telemetry.jsonl.open_append`), and reading back uses the
+ledger discipline: malformed lines are skipped, never fatal.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import json
 import pathlib
 import time
 from typing import Any, Dict, Iterator, Optional, Union
+
+from ..telemetry import jsonl
 
 PathLike = Union[str, pathlib.Path]
 
@@ -38,8 +41,7 @@ class AuditTrail:
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
         self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a")
+        self._fh = jsonl.open_append(self.path)
         self._flush_every = flush_every
         self._unflushed = 0
         self.n_records = 0
@@ -89,19 +91,12 @@ class AuditTrail:
         self.close()
 
 
+def _audit_record(record: Any) -> Dict[str, Any]:
+    if not isinstance(record, dict):
+        raise ValueError("audit line is not a JSON object")
+    return record
+
+
 def read_audit(path: PathLike) -> Iterator[Dict[str, Any]]:
     """Yield audit records, skipping malformed lines (ledger discipline)."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                yield record
+    return iter(jsonl.replay(path, _audit_record))

@@ -20,7 +20,6 @@ lines are skipped with a count rather than poisoning the whole file.
 from __future__ import annotations
 
 import hashlib
-import json
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
@@ -28,6 +27,7 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..keygen.helper import HelperData
+from ..telemetry import jsonl
 
 PathLike = Union[str, pathlib.Path]
 
@@ -94,37 +94,25 @@ class HelperStore:
 
     With ``path`` set, every :meth:`put` appends one JSON line and the
     constructor replays the file (last record per chip wins, malformed
-    lines counted in ``n_skipped``) — the same crash-tolerant append-only
-    discipline as :class:`~repro.telemetry.ledger.RunLedger`.
+    lines counted in ``n_skipped``) through :mod:`repro.telemetry.jsonl`,
+    like :class:`~repro.telemetry.ledger.RunLedger`: a torn tail left by
+    a killed writer costs that one enrollment, never the next.
     """
 
     def __init__(self, path: Optional[PathLike] = None):
         self.path = pathlib.Path(path) if path is not None else None
         self._records: Dict[int, EnrollmentRecord] = {}
         self.n_skipped = 0
-        if self.path is not None and self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        assert self.path is not None
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = EnrollmentRecord.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, ValueError, TypeError):
-                    self.n_skipped += 1
-                    continue
+        if self.path is not None:
+            records = jsonl.replay(self.path, EnrollmentRecord.from_dict)
+            for record in records:
                 self._records[record.chip_id] = record
+            self.n_skipped = records.n_skipped
 
     def put(self, record: EnrollmentRecord) -> None:
         self._records[record.chip_id] = record
         if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(record.to_dict()) + "\n")
+            jsonl.append(self.path, record.to_dict())
 
     def get(self, chip_id: int) -> Optional[EnrollmentRecord]:
         return self._records.get(int(chip_id))

@@ -6,7 +6,12 @@ layers:
 **In-run** (one process, one invocation):
 
 * :class:`Tracer` / :class:`Span` — nestable wall-time (and optional
-  memory) spans with typed counters and gauges;
+  memory) spans with typed counters and gauges.  The active span is
+  context-local, so the same tracer serves batch runs and asyncio
+  serving: :meth:`Tracer.request` / :func:`current_trace_id` give each
+  request a root span and a trace id that survive ``await`` and task
+  fan-out, parked on recycled Chrome-trace lanes (``repro serve`` /
+  ``repro loadgen``);
 * :class:`RunManifest` — the provenance tuple (seed, config, package
   version, git SHA, numpy/platform versions) attached to every artefact;
 * :class:`ProgressEmitter` / :func:`progress` — throttled JSONL
@@ -24,10 +29,6 @@ layers:
   (``--sample-rss HZ``), each tick attributed to the open span;
 * :func:`parse_events` / :func:`render_monitor` — the ``repro monitor``
   dashboard over an events JSONL, live or post-hoc;
-* :class:`AsyncTracer` / :func:`current_trace_id` — contextvar-based
-  span propagation for asyncio serving: per-request trace ids that
-  survive ``await`` and task fan-out, finished requests parked on
-  Chrome-trace lanes (``repro serve`` / ``repro loadgen``);
 * :class:`RedMetrics` — per-endpoint rate / error-taxonomy / duration
   aggregation for the fleet service, flattened into the scalar map the
   SLO spec (:mod:`repro.service.slo`) gates;
@@ -43,18 +44,24 @@ layers:
   quantitative claims as a declarative registry with pass/warn/fail
   tolerance bands (``repro check-anchors``, ``tools/check_anchors.py``);
 * :func:`render_history` — per-metric trends over a ledger with
-  sparklines and rolling-baseline drift detection (``repro history``);
+  sparklines and the median+MAD drift verdict of :func:`detect`
+  (``repro history``);
 * :class:`PerfLedger` / :class:`PerfEntry` — the *performance*
   counterpart: every benchmark run's throughput / wall / RSS / p50/p99,
   keyed ``git_sha:host-fingerprint:bench-id`` (``repro perf``,
   ``REPRO_PERF_LEDGER``);
 * :func:`detect` / :func:`classify` — median+MAD change-point verdicts
-  with a documented noise model and warm-up (``repro perf gate``,
-  ``repro history --robust``);
+  with a documented noise model and warm-up, the one drift detector
+  (``repro perf gate``, ``repro history``);
 * :func:`aggregate` / :func:`critical_path` / :func:`collapsed_stacks`
   — span-forest attribution: self-time tables, the wall-clock-bounding
   span chain across lanes, and flamegraph.pl/speedscope collapsed
   stacks (``repro perf flame``).
+
+Every append-only JSONL file above (ledgers, events, and the service's
+helper store and audit trail) is written and replayed through
+:mod:`repro.telemetry.jsonl`, which survives a torn tail left by a
+killed writer.
 
 The library is instrumented through the module-level single-branch API
 (:func:`start_span` / :func:`end_span` / :func:`count` / :func:`gauge` /
@@ -87,6 +94,7 @@ from .tracer import (
     active,
     clock_handshake,
     count,
+    current_trace_id,
     enabled,
     end_span,
     gauge,
@@ -121,6 +129,7 @@ from .chrome import (
     write_chrome_trace,
 )
 from .sampler import (
+    EventLoopLagProbe,
     ResourceSampler,
     active_sampler,
     current_rss_bytes,
@@ -130,7 +139,6 @@ from .sampler import (
     uninstall_sampler,
     unregister_probe,
 )
-from .asynctrace import AsyncTracer, EventLoopLagProbe, current_trace_id
 from .red import (
     ERROR_CLASSES,
     NON_ERROR_OUTCOMES,
@@ -195,7 +203,6 @@ __all__ = [
     "ANCHOR_EXPERIMENTS",
     "Anchor",
     "AnchorVerdict",
-    "AsyncTracer",
     "ChangePoint",
     "ERROR_CLASSES",
     "EventLoopLagProbe",

@@ -1,11 +1,14 @@
-"""Robust change-point detection for longitudinal performance series.
+"""Robust change-point detection for longitudinal series.
 
-The naive drift flag in :mod:`repro.telemetry.history` compares the
-latest value against a *rolling mean* — one outlier run (a cold cache, a
-noisy CI neighbour) both pollutes the baseline and fires the flag.
+The one drift detector of the repo: ``repro perf gate`` / ``perf
+history`` judge the perf ledger with it, and ``repro history``
+(:mod:`repro.telemetry.history`) the run ledger.  A naive flag against a
+*rolling mean* would let one outlier run (a cold cache, a noisy CI
+neighbour) both pollute the baseline and fire the flag.
 Statistic-based RO-PUF analysis (Wilde et al., arXiv 1910.07068) makes
 the general point that monitoring claims only hold up under robust
-statistics; this module applies it to the repo's own performance data.
+statistics; this module applies it to the repo's own performance data
+and to the paper's headline numbers across runs.
 
 **Noise model** (the documented contract the verdicts rest on):
 

@@ -39,6 +39,8 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Union
 
+from . import jsonl
+
 PathLike = Union[str, pathlib.Path]
 
 #: format version of one event line, bumped on layout changes
@@ -52,8 +54,8 @@ class ProgressEmitter:
     ----------
     path:
         Destination JSONL file; parent directories are created, and the
-        file is opened in append mode so several runs can share one
-        heartbeat log.
+        file is opened in append mode (ending a torn last line left by a
+        killed writer) so several runs can share one heartbeat log.
     min_interval_s:
         Minimum wall time between written events (lifecycle events
         bypass the interval but still count against ``max_events``).
@@ -87,12 +89,11 @@ class ProgressEmitter:
         if max_bytes is not None and max_bytes < 1024:
             raise ValueError("max_bytes must be >= 1024 (or None)")
         self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.min_interval_s = float(min_interval_s)
         self.max_events = int(max_events)
         self.max_bytes = int(max_bytes) if max_bytes is not None else None
         self._clock = clock
-        self._fh = open(self.path, "a")
+        self._fh = jsonl.open_append(self.path)
         self._bytes = self._fh.tell()  # append mode: current file size
         self._t0 = clock()
         self._last_write: Optional[float] = None

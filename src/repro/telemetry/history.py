@@ -1,26 +1,21 @@
-"""Ledger history: per-metric trends, sparklines and drift detection.
+"""Ledger history: per-metric trends, sparklines and drift verdicts.
 
 A ledger is only useful if someone reads it.  ``repro history`` renders
 every metric the ledger has accumulated as one row: a terminal sparkline
 over the recorded values (file order == chronological order for an
-append-only file), the latest value, and its delta against a *rolling
-baseline* — the mean of the preceding ``window`` values.  A latest value
-that moved more than ``threshold`` (relative) away from its own baseline
-is flagged as drift.
+append-only file), the latest value, and its verdict from the median+MAD
+change-point detector (:mod:`repro.telemetry.changepoint`), the same one
+the perf gate trusts.  The baseline is the trailing median of the
+preceding ``window`` values; the flag fires only beyond the metric's own
+measured noise (or the relative floor ``threshold``), so one outlier run
+can neither fake drift nor hide it, and short series stay in warm-up
+instead of flagging on two data points.
 
 Drift flags are deliberately two-sided and informational: the ledger
 does not know whether a metric is better when smaller (flip rates) or
 when closer to a constant (uniqueness ~50 %), so it reports *movement*
 and leaves the judgement to the anchor registry
 (:mod:`repro.telemetry.anchors`), which does know.
-
-Two baselining disciplines are available.  The default is the original
-rolling *mean* with a fixed relative threshold — cheap, but one outlier
-run both pollutes the baseline and fires the flag.  ``robust=True``
-switches to the median+MAD change-point detector
-(:mod:`repro.telemetry.changepoint`): the baseline becomes the trailing
-median, the flag fires only beyond the metric's own measured noise, and
-short series stay in warm-up instead of flagging on two data points.
 """
 
 from __future__ import annotations
@@ -58,12 +53,10 @@ class TrendRow:
     metric: str
     values: Tuple[float, ...]
     latest: float
-    baseline: Optional[float]  # rolling mean (or robust median) baseline
+    baseline: Optional[float]  # trailing median; None in warm-up
     change: Optional[float]  # (latest - baseline) / |baseline|
     drift: bool
-    #: robust-mode detector status ("warmup" | "stable" | "up" | "down");
-    #: None on rows produced by the classic rolling-mean discipline
-    verdict: Optional[str] = None
+    verdict: str  # "warmup" | "stable" | "up" | "down"
 
     @property
     def n_runs(self) -> int:
@@ -81,15 +74,6 @@ def metric_series(
     return series
 
 
-def _baseline(values: Sequence[float], window: int) -> Optional[float]:
-    """Mean of the up-to-``window`` values preceding the latest one."""
-    prior = values[:-1]
-    if not prior:
-        return None
-    tail = prior[-window:]
-    return sum(tail) / len(tail)
-
-
 def history_rows(
     entries: Sequence[LedgerEntry],
     *,
@@ -97,20 +81,20 @@ def history_rows(
     window: int = 5,
     threshold: float = 0.10,
     last: Optional[int] = None,
-    robust: bool = False,
 ) -> List[TrendRow]:
     """Build trend rows for every (selected) metric in the ledger.
 
     ``metrics`` filters by substring match (so ``--metric e2`` selects
     every E2 scalar); ``last`` truncates each series to its newest N
-    points before baselining.  ``robust`` swaps the rolling-mean drift
-    flag for the median+MAD change-point verdict (``threshold`` then
-    serves as the detector's relative floor).
+    points before baselining.  ``threshold`` is the detector's relative
+    floor; the detector needs ``min(window, 5)`` prior runs (at least 2)
+    before it may fire.
     """
     if window < 1:
         raise ValueError("window must be positive")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+    window = max(window, 2)
     rows: List[TrendRow] = []
     for metric, values in sorted(metric_series(entries).items()):
         if metrics and not any(m in metric for m in metrics):
@@ -119,44 +103,22 @@ def history_rows(
             values = values[-last:]
         if not values:
             continue
-        latest = values[-1]
-        if robust:
-            point = changepoint.detect(
-                metric,
-                values,
-                window=max(window, 2),
-                min_history=min(changepoint.MIN_HISTORY, max(window, 2)),
-                min_rel=threshold,
-            )
-            rows.append(
-                TrendRow(
-                    metric=metric,
-                    values=tuple(values),
-                    latest=latest,
-                    baseline=point.median,
-                    change=point.change,
-                    drift=point.moved,
-                    verdict=point.status,
-                )
-            )
-            continue
-        baseline = _baseline(values, window)
-        change: Optional[float] = None
-        drift = False
-        if baseline is not None:
-            if baseline == 0.0:
-                change = 0.0 if latest == 0.0 else float("inf")
-            else:
-                change = (latest - baseline) / abs(baseline)
-            drift = abs(change) > threshold
+        point = changepoint.detect(
+            metric,
+            values,
+            window=window,
+            min_history=min(changepoint.MIN_HISTORY, window),
+            min_rel=threshold,
+        )
         rows.append(
             TrendRow(
                 metric=metric,
                 values=tuple(values),
-                latest=latest,
-                baseline=baseline,
-                change=change,
-                drift=drift,
+                latest=values[-1],
+                baseline=point.median,
+                change=point.change,
+                drift=point.moved,
+                verdict=point.status,
             )
         )
     return rows
@@ -169,7 +131,6 @@ def render_history(
     window: int = 5,
     threshold: float = 0.10,
     last: Optional[int] = None,
-    robust: bool = False,
 ) -> str:
     """The ``repro history`` terminal view."""
     if not entries:
@@ -180,7 +141,6 @@ def render_history(
         window=window,
         threshold=threshold,
         last=last,
-        robust=robust,
     )
     if not rows:
         return "(no matching metrics in ledger)"
@@ -204,8 +164,8 @@ def render_history(
         base = "       --" if r.baseline is None else f"{r.baseline:9.4g}"
         delta = ""
         if r.change is not None:
-            label = "median" if robust else "baseline"
-            delta = f"  {r.change:+7.1%} vs {label}[{min(window, r.n_runs - 1)}]"
+            n_base = min(window, r.n_runs - 1)
+            delta = f"  {r.change:+7.1%} vs median[{n_base}]"
         flag = ""
         if r.verdict == "warmup":
             flag = "  (warmup)"
@@ -216,17 +176,9 @@ def render_history(
             f"{r.metric:<{width}}  {spark}  latest {r.latest:9.4g}  "
             f"base {base}{delta}{flag}"
         )
-    if robust:
-        footer = (
-            f"{flagged} metric(s) moved beyond their median+MAD noise band"
-            if flagged
-            else "no movement beyond the median+MAD noise band"
-        )
-    else:
-        footer = (
-            f"{flagged} metric(s) drifted beyond {threshold:.0%} of their "
-            f"rolling baseline"
-            if flagged
-            else f"no drift beyond {threshold:.0%} of the rolling baseline"
-        )
+    footer = (
+        f"{flagged} metric(s) moved beyond their median+MAD noise band"
+        if flagged
+        else "no drift beyond the median+MAD noise band"
+    )
     return "\n".join(header + [""] + lines + ["", footer])

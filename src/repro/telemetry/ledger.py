@@ -16,10 +16,13 @@ git SHA, seed and config digest are the same measurement; entries across
 SHAs are the longitudinal series that ``repro history`` renders and
 ``repro check-anchors`` / ``tools/check_anchors.py`` gate on.
 
-JSONL (one JSON object per line) is the storage format on purpose:
-appends are atomic-enough under CI concurrency, a truncated final line
-(killed run) costs one entry rather than the file, and the ledger stays
-greppable and diffable forever.
+JSONL (one JSON object per line, written and replayed by
+:mod:`repro.telemetry.jsonl`) is the storage format on purpose: appends
+are atomic-enough under CI concurrency, a truncated final line (killed
+run) costs that run's entry and never the next one, and the ledger stays
+greppable and diffable forever.  :class:`Ledger` is the one ledger class;
+:class:`RunLedger` and :class:`~repro.telemetry.perfledger.PerfLedger`
+only name its entry type.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ import json
 import math
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Generic, Iterator, List, Mapping, Optional
+from typing import Type, TypeVar, Union
 
+from . import jsonl
 from .manifest import RunManifest, package_version, validate_manifest
 
 PathLike = Union[str, pathlib.Path]
@@ -133,56 +138,52 @@ class LedgerEntry:
         )
 
 
-class RunLedger:
-    """An append-only JSONL ledger file of :class:`LedgerEntry` lines."""
+E = TypeVar("E")
+
+
+class Ledger(Generic[E]):
+    """An append-only JSONL ledger file of ``entry_type`` lines.
+
+    ``entry_type`` provides ``collect`` (build a stamped entry),
+    ``to_dict`` and ``from_dict`` (validate one line).  Lines are written
+    with sorted keys; replay skips malformed lines (a truncated tail from
+    a killed run, stray garbage) unless ``strict``.  An absent file is an
+    empty ledger, not an error.
+    """
+
+    entry_type: Type[E]
+    #: names the file kind in ``strict`` errors ("bad <what> line")
+    what = "ledger"
 
     def __init__(self, path: PathLike):
         self.path = pathlib.Path(path)
 
-    def append(self, entry: LedgerEntry) -> None:
+    def append(self, entry: E) -> None:
         """Append one entry (creating parent directories as needed)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+        jsonl.append(self.path, entry.to_dict(), sort_keys=True)
 
-    def record(
-        self,
-        experiment: str,
-        scalars: Mapping[str, Any],
-        manifest: Optional[RunManifest] = None,
-    ) -> LedgerEntry:
+    def record(self, *args: Any, **kwargs: Any) -> E:
         """Collect-and-append convenience; returns the appended entry."""
-        entry = LedgerEntry.collect(experiment, scalars, manifest)
+        entry = self.entry_type.collect(*args, **kwargs)
         self.append(entry)
         return entry
 
-    def entries(self, strict: bool = False) -> List[LedgerEntry]:
-        """All parseable entries in file order.
+    def entries(self, strict: bool = False) -> List[E]:
+        """All parseable entries in file order."""
+        records = jsonl.replay(
+            self.path, self.entry_type.from_dict, strict=strict, what=self.what
+        )
+        return list(records)
 
-        Malformed lines (a truncated tail from a killed run, stray
-        garbage) are skipped unless ``strict``; an absent file is an
-        empty ledger, not an error.
-        """
-        if not self.path.exists():
-            return []
-        out: List[LedgerEntry] = []
-        for lineno, line in enumerate(
-            self.path.read_text().splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(LedgerEntry.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, ValueError) as exc:
-                if strict:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: bad ledger line: {exc}"
-                    ) from exc
-        return out
-
-    def __iter__(self) -> Iterator[LedgerEntry]:
+    def __iter__(self) -> Iterator[E]:
         return iter(self.entries())
 
     def __len__(self) -> int:
         return len(self.entries())
+
+
+class RunLedger(Ledger[LedgerEntry]):
+    """The run ledger: :class:`LedgerEntry` lines, ``record(experiment,
+    scalars, manifest=None)``."""
+
+    entry_type = LedgerEntry

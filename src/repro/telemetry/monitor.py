@@ -15,10 +15,10 @@ the tail-and-redraw loop around them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from . import jsonl
 from .history import sparkline
 
 #: (elapsed_s, done) pairs kept per stage for the rolling rate
@@ -78,7 +78,7 @@ class MonitorState:
 
 
 def parse_events(
-    lines: Sequence[str], state: Optional[MonitorState] = None
+    lines: Iterable[str], state: Optional[MonitorState] = None
 ) -> MonitorState:
     """Fold event lines into ``state`` (a fresh one by default).
 
@@ -86,18 +86,8 @@ def parse_events(
     feeds only the newly appended lines of each tail round.
     """
     state = state or MonitorState()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            state.n_skipped += 1
-            continue
-        if not isinstance(record, dict) or "event" not in record:
-            state.n_skipped += 1
-            continue
+    records = jsonl.replay(lines, _event_record)
+    for record in records:
         state.n_events += 1
         elapsed = record.get("elapsed_s")
         if isinstance(elapsed, (int, float)):
@@ -115,7 +105,14 @@ def parse_events(
         elif kind == "run.end":
             state.runs_ended += 1
         # unknown lifecycle kinds (cache.hit, ...) still count as events
+    state.n_skipped += records.n_skipped
     return state
+
+
+def _event_record(record: Any) -> Dict[str, Any]:
+    if not isinstance(record, dict) or "event" not in record:
+        raise ValueError("not an event object")
+    return record
 
 
 def _fold_progress(state: MonitorState, record: Dict[str, Any]) -> None:

@@ -24,31 +24,27 @@ Two ingest paths cover both artefact shapes the repo produces:
   from ``peak_rss_kb``, and p50/p99 recomputed from the full histogram
   bucket states via :meth:`Histogram.from_dict`.
 
-Like the run ledger, storage is JSONL on purpose: appends are
-atomic-enough under CI concurrency, a truncated tail costs one entry,
-and malformed lines are skipped unless ``strict`` — a perf gate must
-never crash on the artefact it is guarding.
+Storage is the run ledger's :class:`~repro.telemetry.ledger.Ledger`
+with :class:`PerfEntry` lines: a truncated tail costs one entry, and
+malformed lines are skipped unless ``strict`` — a perf gate must never
+crash on the artefact it is guarding.
 """
 
 from __future__ import annotations
 
 import datetime
-import json
 import math
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional
 
 from .histogram import Histogram
-from .ledger import _clean_scalars
+from .ledger import Ledger, _clean_scalars
 from .manifest import (
     execution_fields,
     git_sha,
     host_fingerprint,
     package_version,
 )
-
-PathLike = Union[str, pathlib.Path]
 
 #: format version of one perf-ledger line, bumped on layout changes
 PERF_LEDGER_FORMAT = 1
@@ -165,59 +161,12 @@ class PerfEntry:
         )
 
 
-class PerfLedger:
-    """An append-only JSONL ledger file of :class:`PerfEntry` lines."""
+class PerfLedger(Ledger[PerfEntry]):
+    """The perf ledger: :class:`PerfEntry` lines, ``record(bench, values,
+    quantiles=None)``."""
 
-    def __init__(self, path: PathLike):
-        self.path = pathlib.Path(path)
-
-    def append(self, entry: PerfEntry) -> None:
-        """Append one entry (creating parent directories as needed)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
-
-    def record(
-        self,
-        bench: str,
-        values: Mapping[str, Any],
-        quantiles: Optional[Mapping[str, Any]] = None,
-    ) -> PerfEntry:
-        """Collect-and-append convenience; returns the appended entry."""
-        entry = PerfEntry.collect(bench, values, quantiles)
-        self.append(entry)
-        return entry
-
-    def entries(self, strict: bool = False) -> List[PerfEntry]:
-        """All parseable entries in file order.
-
-        Malformed lines (a truncated tail from a killed bench, stray
-        garbage) are skipped unless ``strict``; an absent file is an
-        empty ledger, not an error.
-        """
-        if not self.path.exists():
-            return []
-        out: List[PerfEntry] = []
-        for lineno, line in enumerate(
-            self.path.read_text().splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(PerfEntry.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, ValueError) as exc:
-                if strict:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: bad perf-ledger line: {exc}"
-                    ) from exc
-        return out
-
-    def __iter__(self) -> Iterator[PerfEntry]:
-        return iter(self.entries())
-
-    def __len__(self) -> int:
-        return len(self.entries())
+    entry_type = PerfEntry
+    what = "perf-ledger"
 
 
 def _histogram_quantiles(summaries: Mapping[str, Any]) -> Dict[str, float]:

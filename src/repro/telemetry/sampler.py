@@ -8,12 +8,14 @@ for a gate, useless for understanding *when* memory moved.  The
 * the process's current ``VmRSS`` (from ``/proc/self/status``; falls
   back to the ``ru_maxrss`` high-water mark off-Linux, which is still
   monotone-informative),
-* the name of the innermost open span of the installed tracer — each
-  sample is *attributed* to the stage that was running,
+* the name of the installed tracer's innermost open span (of the flow
+  that last started or ended one) — each sample is *attributed* to the
+  stage that was running,
 * every registered **probe**: a named zero-argument callable returning
   a float.  The population store registers its materialised-block count
   here, so an out-of-core sweep's fault-in behaviour becomes a curve
-  next to its RSS.
+  next to its RSS; a server's :class:`EventLoopLagProbe` registers the
+  event-loop scheduling delay.
 
 Samples are plain dicts kept in memory, bounded by ``max_samples`` via
 stride doubling (when full, every other sample is dropped and the
@@ -41,7 +43,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from . import events as _events_mod
 from . import tracer as _tracer_mod
-from .tracer import _rusage_peak_bytes
+from .tracer import proc_status_bytes
 
 #: registered probes: name -> zero-arg callable returning a number.
 #: Module-level (not per-sampler) so long-lived objects (stores) can
@@ -70,14 +72,7 @@ def current_rss_bytes(proc_status: str = "/proc/self/status") -> Optional[int]:
     ``ru_maxrss`` (the high-water mark — monotone, so the curve still
     shows growth, documented in the README's observability section).
     """
-    try:
-        with open(proc_status) as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return _rusage_peak_bytes()
+    return proc_status_bytes("VmRSS", proc_status)
 
 
 class ResourceSampler:
@@ -228,6 +223,76 @@ class ResourceSampler:
             f"<ResourceSampler hz={self.hz} samples={len(self.samples)} "
             f"stride={self._stride}>"
         )
+
+
+class EventLoopLagProbe:
+    """Event-loop scheduling delay as a sampler probe.
+
+    A cooperative coroutine sleeps ``interval_s`` and measures how much
+    *later* than requested the loop woke it; that excess is the time the
+    loop spent unable to schedule ready callbacks — the canonical
+    saturation signal for an asyncio service.  The most recent lag (ms)
+    is exposed through :func:`register_probe` under ``name``, so an
+    active :class:`ResourceSampler` records it as a time series (and the
+    Chrome export as a counter track) without the probe knowing whether
+    anyone is listening.
+
+    Use as an async context manager around the serving block::
+
+        async with EventLoopLagProbe() as probe:
+            await run_loadgen(...)
+        print(probe.max_lag_ms)
+    """
+
+    def __init__(self, interval_s: float = 0.02, name: str = "loop_lag_ms"):
+        if interval_s <= 0:
+            raise ValueError("interval_s must be positive")
+        self.interval_s = float(interval_s)
+        self.name = name
+        self.lag_ms = 0.0
+        self.max_lag_ms = 0.0
+        self.n_ticks = 0
+        self._task: Optional[Any] = None
+
+    async def _run(self) -> None:
+        import asyncio
+
+        while True:
+            t0 = time.perf_counter()
+            await asyncio.sleep(self.interval_s)
+            lag_s = (time.perf_counter() - t0) - self.interval_s
+            self.lag_ms = max(0.0, lag_s * 1e3)
+            self.max_lag_ms = max(self.max_lag_ms, self.lag_ms)
+            self.n_ticks += 1
+
+    def start(self) -> "EventLoopLagProbe":
+        """Register the probe and start its loop task (idempotent)."""
+        import asyncio
+
+        if self._task is None:
+            register_probe(self.name, lambda: self.lag_ms)
+            self._task = asyncio.get_running_loop().create_task(self._run())
+        return self
+
+    async def stop(self) -> None:
+        """Cancel the loop task and unregister the probe (idempotent)."""
+        import asyncio
+
+        task, self._task = self._task, None
+        if task is None:
+            return
+        unregister_probe(self.name)
+        task.cancel()
+        try:
+            await task
+        except asyncio.CancelledError:
+            pass
+
+    async def __aenter__(self) -> "EventLoopLagProbe":
+        return self.start()
+
+    async def __aexit__(self, *exc_info: Any) -> None:
+        await self.stop()
 
 
 # ----------------------------------------------------------------------

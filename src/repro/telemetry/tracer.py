@@ -25,16 +25,25 @@ Spans record wall time via :func:`time.perf_counter_ns`; a tracer created
 with ``memory=True`` additionally samples :mod:`tracemalloc` (traced peak
 per span) and the process peak RSS, for memory profiles of the population
 kernels.  Counters are monotonically accumulated floats; gauges keep the
-last written value.  Everything lives on the tracer instance — there is
-no global mutable state beyond the single "installed tracer" slot — so
-tests can create, install and discard tracers freely.
+last written value.
+
+There is one tracer for batch runs and for asyncio serving alike: the
+active span is context-local (a :mod:`contextvars` slot, tagged with
+its tracer), so interleaved requests keep separate span stacks, and
+:meth:`Tracer.request` gives each served request a root span, a trace
+id and a recycled ``req-<k>`` export lane.  Everything else lives on
+the tracer instance — beyond that slot and the single "installed
+tracer" slot there is no global mutable state — so tests can create,
+install and discard tracers freely.
 """
 
 from __future__ import annotations
 
+import contextvars
+import heapq
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 class Span:
@@ -149,8 +158,26 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+#: the context-local ``(tracer, span)`` pair: the active span of the
+#: calling flow.  One module-level ContextVar, never per instance,
+#: because contexts outlive tracers; entries are tagged with their owning
+#: tracer and ignored by any other, so a stale value from a discarded
+#: tracer (or one inherited by a forked worker) cannot pollute a fresh one.
+_CURRENT: "contextvars.ContextVar[Optional[Tuple[Tracer, Span]]]" = (
+    contextvars.ContextVar("repro_active_span", default=None)
+)
+
+
 class Tracer:
     """Collects spans, counters and gauges for one run.
+
+    The active span lives in a :mod:`contextvars` slot, which is right
+    for plain call stacks and for asyncio alike: within one flow spans
+    nest across ``await``, and ``asyncio.create_task`` copies the
+    caller's context, so a subtask inherits the current span as its
+    parent but only mutates its own copy — concurrent requests never
+    re-parent under each other, and a task's forgotten span cannot
+    corrupt a sibling.
 
     Parameters
     ----------
@@ -158,7 +185,9 @@ class Tracer:
         When true, spans additionally record their :mod:`tracemalloc`
         peak (the tracer starts/stops tracemalloc around its lifetime if
         it was not already running).  Costs ~2-4x on allocation-heavy
-        code, so it is opt-in (the CLI's ``--profile``).
+        code, so it is opt-in (the CLI's ``--profile``).  The peaks are
+        process-global, so under interleaved requests they are
+        indicative, not attributable.
     """
 
     def __init__(self, *, memory: bool = False):
@@ -168,15 +197,22 @@ class Tracer:
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, "Histogram"] = {}
         #: re-based span forests from other processes, keyed by lane
-        #: label (``worker-<k>``) — rendered as extra timeline lanes by
-        #: the Chrome-trace export, never by the terminal tree
+        #: label (``worker-<k>``), and finished requests (``req-<k>``) —
+        #: rendered as extra timeline lanes by the Chrome-trace export,
+        #: never by the terminal tree
         self.remote_lanes: Dict[str, List[Span]] = {}
         # the coordinator half of the clock-alignment handshake: one
         # (wall, perf) pair read back-to-back.  A worker ships its own
         # pair; the wall clocks are the common reference that converts
         # the worker's perf timestamps onto this tracer's perf timeline.
         self.wall0_ns, self.perf0_ns = clock_handshake()
-        self._stack: List[Span] = []
+        self._open: "set[Span]" = set()
+        # the deepest open span of the flow that last started or ended
+        # one: what another thread (the resource sampler) attributes to
+        self._last: Optional[Span] = None
+        self._free_lanes: List[int] = []
+        self._n_lanes = 0
+        self._trace_seq = 0
         self._owns_tracemalloc = False
         if memory:
             import tracemalloc
@@ -187,15 +223,22 @@ class Tracer:
 
     # ---- spans -------------------------------------------------------
 
+    def _current(self) -> Optional[Span]:
+        entry = _CURRENT.get()
+        return entry[1] if entry is not None and entry[0] is self else None
+
     def start_span(self, name: str, **attrs: Any) -> Span:
-        """Open a span as a child of the currently active span."""
+        """Open a span as a child of the calling flow's active span."""
         span = Span(name, attrs or None)
-        if self._stack:
-            span.parent = self._stack[-1]
-            span.parent.children.append(span)
+        parent = self._current()
+        if parent is not None:
+            span.parent = parent
+            parent.children.append(span)
         else:
             self.roots.append(span)
-        self._stack.append(span)
+        self._open.add(span)
+        self._last = span
+        _CURRENT.set((self, span))
         if self.memory:
             import tracemalloc
 
@@ -205,26 +248,42 @@ class Tracer:
         return span
 
     def end_span(self, span: Span) -> Span:
-        """Close ``span`` (and any forgotten descendants still open)."""
+        """Close ``span`` (and any forgotten descendants still open in
+        the calling flow), then re-activate its parent in this flow only."""
         end_ns = time.perf_counter_ns()
         if span.end_ns is not None:
             raise ValueError(f"span {span.name!r} already ended")
-        if span not in self._stack:
-            raise ValueError(f"span {span.name!r} is not on the active stack")
-        # unwind to (and including) the span — tolerates a child the
-        # instrumented code forgot to close on an exception path
-        while self._stack:
-            top = self._stack.pop()
-            top.end_ns = end_ns
-            if self.memory:
-                import tracemalloc
-
-                current, peak = tracemalloc.get_traced_memory()
-                base = top._mem_start_bytes or 0
-                top.mem_peak_bytes = max(0, peak - base)
-            if top is span:
-                break
+        if span not in self._open:
+            raise ValueError(f"span {span.name!r} is not open on this tracer")
+        # unwind the flow's parent chain down to the span — tolerates a
+        # child the instrumented code forgot to close on an exception path
+        chain: List[Span] = []
+        node = self._current()
+        while node is not None and node is not span:
+            chain.append(node)
+            node = node.parent
+        if node is None:
+            chain = []  # span is not on this flow's chain: close it alone
+        chain.append(span)
+        for top in chain:
+            if top.end_ns is None:
+                top.end_ns = end_ns
+                self._finish_memory(top)
+            self._open.discard(top)
+        parent = span.parent
+        _CURRENT.set((self, parent) if parent is not None else None)
+        if parent is not None and parent.end_ns is not None:
+            parent = None
+        self._last = parent
         return span
+
+    def _finish_memory(self, span: Span) -> None:
+        if self.memory:
+            import tracemalloc
+
+            _current, peak = tracemalloc.get_traced_memory()
+            base = span._mem_start_bytes or 0
+            span.mem_peak_bytes = max(0, peak - base)
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
@@ -246,7 +305,55 @@ class Tracer:
 
     @property
     def active_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
+        """The calling flow's open span — or, read from another thread
+        (the resource sampler), the deepest open span of the flow that
+        last started or ended one."""
+        current = self._current()
+        if current is not None:
+            return current
+        last = self._last
+        return last if last is not None and last.end_ns is None else None
+
+    # ---- per-request tracing -----------------------------------------
+
+    @contextmanager
+    def request(self, endpoint: str, **attrs: Any) -> Iterator[Span]:
+        """Trace one served request: a fresh root span with a trace id.
+
+        The span is detached from any ambient span (the accept loop's
+        ``serve`` span must not adopt every request as a child), carries
+        a ``trace_id`` (monotone from 1) and the ``endpoint``, and once
+        finished moves off the roots onto a request lane ``req-<k>`` —
+        the mechanism worker shards use — so the Chrome/Perfetto export
+        renders concurrent requests as parallel rows.  Lanes are
+        recycled lowest-free-first: the lane count is the peak request
+        concurrency, not the request count.
+        """
+        self._trace_seq += 1
+        if self._free_lanes:
+            lane = heapq.heappop(self._free_lanes)
+        else:
+            lane = self._n_lanes
+            self._n_lanes += 1
+        token = _CURRENT.set(None)  # detach: requests are roots
+        span = self.start_span(
+            f"request.{endpoint}",
+            trace_id=self._trace_seq,
+            endpoint=endpoint,
+            **attrs,
+        )
+        try:
+            yield span
+        except BaseException:
+            span.error = True
+            raise
+        finally:
+            if span.end_ns is None:
+                self.end_span(span)
+            _CURRENT.reset(token)
+            self.roots.remove(span)
+            self.add_remote_lane(f"req-{lane}", [span])
+            heapq.heappush(self._free_lanes, lane)
 
     # ---- counters / gauges -------------------------------------------
 
@@ -303,9 +410,15 @@ class Tracer:
     # ---- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
-        """End any still-open spans and release tracemalloc if owned."""
-        while self._stack:
-            self.end_span(self._stack[-1])
+        """End every still-open span and release tracemalloc if owned."""
+        end_ns = time.perf_counter_ns()
+        for span in self._open:
+            span.end_ns = end_ns
+            self._finish_memory(span)
+        self._open.clear()
+        self._last = None
+        if self._current() is not None:
+            _CURRENT.set(None)
         if self._owns_tracemalloc:
             import tracemalloc
 
@@ -358,6 +471,29 @@ def _rusage_peak_bytes(platform_name: Optional[str] = None) -> Optional[int]:
     return int(peak) * 1024
 
 
+def proc_status_bytes(
+    field: str,
+    proc_status: str = "/proc/self/status",
+    platform_name: Optional[str] = None,
+) -> Optional[int]:
+    """One ``kB`` field of ``/proc/self/status`` in bytes, else ``ru_maxrss``.
+
+    The one reader behind :func:`peak_rss_bytes` (``VmHWM``) and
+    :func:`~repro.telemetry.sampler.current_rss_bytes` (``VmRSS``).  An
+    absent file, a missing field or an unparsable value falls back to
+    :func:`_rusage_peak_bytes`.
+    """
+    prefix = field + ":"
+    try:
+        with open(proc_status) as status:
+            for line in status:
+                if line.startswith(prefix):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return _rusage_peak_bytes(platform_name)
+
+
 def peak_rss_bytes(
     proc_status: str = "/proc/self/status",
     platform_name: Optional[str] = None,
@@ -380,14 +516,7 @@ def peak_rss_bytes(
     nothing.  ``proc_status``/``platform_name`` exist for tests, which
     exercise the fallback from a Linux host.
     """
-    try:
-        with open(proc_status) as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return _rusage_peak_bytes(platform_name)
+    return proc_status_bytes("VmHWM", proc_status, platform_name)
 
 
 # ----------------------------------------------------------------------
@@ -484,6 +613,27 @@ def observe(name: str, value: float) -> None:
 def enabled() -> bool:
     """True when a tracer is installed."""
     return _active is not None
+
+
+def current_trace_id() -> Optional[int]:
+    """The trace id of the request the calling context is serving.
+
+    Walks from the context-local span to its root and returns the root's
+    ``trace_id`` attribute (set by :meth:`Tracer.request`); ``None``
+    outside any request or when the span belongs to a tracer that is not
+    installed.  Survives ``await`` and task fan-out because the
+    underlying slot is a contextvar.
+    """
+    entry = _CURRENT.get()
+    if entry is None or entry[0] is not _active:
+        return None
+    span: Optional[Span] = entry[1]
+    while span is not None:
+        trace_id = span.attrs.get("trace_id")
+        if trace_id is not None:
+            return int(trace_id)
+        span = span.parent
+    return None
 
 
 @contextmanager

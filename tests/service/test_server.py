@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.service import FleetService, HelperStore, majority_vote
+from repro.service import (
+    FleetService,
+    HelperStore,
+    ServiceClient,
+    majority_vote,
+    serve,
+)
 from repro.service.audit import AuditTrail, read_audit
-from repro.telemetry import AsyncTracer
+from repro.telemetry import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -161,7 +167,7 @@ class TestDriver:
         assert state["endpoints"]["enroll"]["requests"] == 1
 
     def test_traced_request_carries_trace_id(self, tmp_path):
-        tracer = telemetry.install(AsyncTracer())
+        tracer = telemetry.install(Tracer())
         audit_path = tmp_path / "audit.jsonl"
         service = FleetService(seed=0, audit=AuditTrail(audit_path))
         rng = np.random.default_rng(3)
@@ -181,6 +187,40 @@ class TestDriver:
         records = list(read_audit(audit_path))
         assert [r["trace_id"] for r in records] == [1, 2]
         assert all(r["duration_ms"] >= 0 for r in records)
+
+    def test_served_request_under_plain_tracer_carries_trace_id(self):
+        """Any installed tracer traces requests: over the wire, under an
+        ambient ``serve`` span, each reply carries its own trace id and
+        each request is a root on a ``req-<k>`` lane, not a child."""
+        tracer = telemetry.install(Tracer())
+        service = FleetService(seed=0)
+        bits = np.random.default_rng(5).integers(
+            0, 2, service.response_bits, dtype=np.uint8
+        )
+
+        async def flow():
+            server = await serve(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            client = await ServiceClient.connect("127.0.0.1", port)
+            try:
+                return [
+                    await client.enroll(0, [bits]),
+                    await client.auth(0, bits),
+                ]
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        with tracer.span("serve"):
+            replies = asyncio.run(flow())
+        assert [r["outcome"] for r in replies] == ["ok", "ok"]
+        assert [r["trace_id"] for r in replies] == [1, 2]
+        spans = tracer.remote_lanes["req-0"]
+        assert [s.name for s in spans] == ["request.enroll", "request.auth"]
+        assert all(s.parent is None for s in spans)
+        assert tracer.roots[0].name == "serve"
+        assert tracer.roots[0].children == []
 
     def test_untraced_request_has_no_trace_id(self):
         service = FleetService(seed=0)

@@ -1,4 +1,4 @@
-"""AsyncTracer: contextvar isolation, request lanes, loop-lag probe.
+"""Tracer under asyncio: contextvar isolation, request lanes, loop-lag probe.
 
 The isolation tests are the serving layer's load-bearing contract: two
 requests interleaving on one event loop must never see each other's
@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.telemetry import AsyncTracer, EventLoopLagProbe, current_trace_id
+from repro.telemetry import EventLoopLagProbe, Tracer, current_trace_id
 from repro.telemetry.chrome import chrome_trace_events
 from repro.telemetry.sampler import _probes
 
@@ -39,7 +39,7 @@ def _lane_events(events, label):
 class TestContextIsolation:
     def test_concurrent_requests_do_not_leak_spans(self):
         """Interleaved gather tasks each keep their own span stack."""
-        tracer = telemetry.install(AsyncTracer())
+        tracer = telemetry.install(Tracer())
 
         async def handler(i):
             with tracer.request("auth", idx=i) as span:
@@ -63,7 +63,7 @@ class TestContextIsolation:
         return await asyncio.gather(*(handler(i) for i in range(n)))
 
     def test_nesting_survives_await(self):
-        tracer = telemetry.install(AsyncTracer())
+        tracer = telemetry.install(Tracer())
 
         async def flow():
             with tracer.request("auth") as span:
@@ -80,7 +80,7 @@ class TestContextIsolation:
     def test_fanned_out_task_inherits_request_parent(self):
         """create_task snapshots the context: the subtask's spans attach
         to the request that spawned it, not to the coordinator."""
-        tracer = telemetry.install(AsyncTracer())
+        tracer = telemetry.install(Tracer())
 
         async def flow():
             async def side_work():
@@ -97,7 +97,7 @@ class TestContextIsolation:
     def test_subtask_cannot_corrupt_parent_stack(self):
         """A task that forgets to close its span only damages its own
         context copy — the request closes cleanly regardless."""
-        tracer = telemetry.install(AsyncTracer())
+        tracer = telemetry.install(Tracer())
 
         async def flow():
             async def leaky():
@@ -116,7 +116,7 @@ class TestContextIsolation:
         assert "after" in names  # parented on the request, not the leak
 
     def test_request_detaches_from_ambient_span(self):
-        tracer = telemetry.install(AsyncTracer())
+        tracer = telemetry.install(Tracer())
         with tracer.span("serve"):
             with tracer.request("auth") as req:
                 pass
@@ -127,20 +127,20 @@ class TestContextIsolation:
         assert [c.name for c in serve.children] == ["post"]
 
     def test_current_trace_id_outside_request_is_none(self):
-        tracer = telemetry.install(AsyncTracer())
+        tracer = telemetry.install(Tracer())
         assert current_trace_id() is None
         with tracer.span("ambient"):
             assert current_trace_id() is None
 
     def test_current_trace_id_none_for_foreign_tracer(self):
-        stale = AsyncTracer()
+        stale = Tracer()
         with stale.request("auth"):
             # a *different* tracer now owns the installed slot
-            telemetry.install(AsyncTracer())
+            telemetry.install(Tracer())
             assert current_trace_id() is None
 
     def test_error_marks_request_span(self):
-        tracer = telemetry.install(AsyncTracer())
+        tracer = telemetry.install(Tracer())
         with pytest.raises(RuntimeError):
             with tracer.request("auth") as span:
                 raise RuntimeError("boom")
@@ -151,7 +151,7 @@ class TestContextIsolation:
 
 class TestRequestLanes:
     def test_sequential_requests_recycle_one_lane(self):
-        tracer = AsyncTracer()
+        tracer = Tracer()
         for _ in range(3):
             with tracer.request("auth"):
                 pass
@@ -160,7 +160,7 @@ class TestRequestLanes:
         assert tracer.roots == []  # all moved off the coordinator
 
     def test_lane_count_equals_peak_concurrency(self):
-        tracer = AsyncTracer()
+        tracer = Tracer()
 
         async def burst(n):
             barrier = asyncio.Barrier(n)
@@ -179,7 +179,7 @@ class TestRequestLanes:
         assert len(tracer.remote_lanes["req-0"]) == 2
 
     def test_exported_trace_renests_request_subtree(self):
-        tracer = AsyncTracer()
+        tracer = Tracer()
         with tracer.request("auth") as span:
             with tracer.span("decode"):
                 time.sleep(0.001)
@@ -193,29 +193,23 @@ class TestRequestLanes:
         assert span.attrs["trace_id"] == 1
 
     def test_trace_ids_are_monotone_and_unique(self):
-        tracer = AsyncTracer()
+        tracer = Tracer()
         ids = []
         for _ in range(5):
             with tracer.request("auth") as span:
                 ids.append(span.attrs["trace_id"])
         assert ids == [1, 2, 3, 4, 5]
 
-    def test_custom_lane_prefix(self):
-        tracer = AsyncTracer(lane_prefix="conn")
-        with tracer.request("auth"):
-            pass
-        assert set(tracer.remote_lanes) == {"conn-0"}
-
 
 class TestClose:
     def test_close_ends_forgotten_spans(self):
-        tracer = AsyncTracer()
+        tracer = Tracer()
         span = tracer.start_span("forgotten")
         tracer.close()
         assert span.end_ns is not None
 
     def test_end_span_twice_raises(self):
-        tracer = AsyncTracer()
+        tracer = Tracer()
         span = tracer.start_span("once")
         tracer.end_span(span)
         with pytest.raises(ValueError, match="already ended"):

@@ -1,4 +1,4 @@
-"""Ledger history: sparklines, rolling baselines, drift flags."""
+"""Ledger history: sparklines, median+MAD baselines, drift flags."""
 
 import pytest
 
@@ -49,14 +49,6 @@ class TestMetricSeries:
 
 
 class TestHistoryRows:
-    def test_baseline_is_mean_of_preceding_window(self, manifest):
-        entries = entries_for([10.0, 20.0, 30.0, 40.0], manifest)
-        (row,) = history_rows(entries, window=3)
-        assert row.latest == 40.0
-        assert row.baseline == pytest.approx(20.0)  # mean(10, 20, 30)
-        assert row.change == pytest.approx(1.0)
-        assert row.drift
-
     def test_window_truncates_old_values(self, manifest):
         entries = entries_for([100.0, 10.0, 10.0, 10.0], manifest)
         (row,) = history_rows(entries, window=2)
@@ -70,12 +62,6 @@ class TestHistoryRows:
         entries = entries_for([10.0, 10.0, 10.5], manifest)
         (row,) = history_rows(entries, threshold=0.10)
         assert not row.drift
-
-    def test_zero_baseline(self, manifest):
-        (zero,) = history_rows(entries_for([0.0, 0.0], manifest))
-        assert zero.change == 0.0 and not zero.drift
-        (jump,) = history_rows(entries_for([0.0, 1.0], manifest))
-        assert jump.change == float("inf") and jump.drift
 
     def test_metric_substring_filter(self, manifest):
         entries = entries_for([1.0], manifest) + entries_for(
@@ -106,15 +92,6 @@ class TestRenderHistory:
         text = render_history(entries_for([1.0], manifest), metrics=["nope"])
         assert "no matching metrics" in text
 
-    def test_renders_sparkline_latest_and_drift(self, manifest):
-        entries = entries_for([10.0, 10.0, 10.0, 20.0], manifest)
-        text = render_history(entries)
-        assert "e2.flips" in text
-        assert any(block in text for block in SPARK_BLOCKS)
-        assert "latest" in text and "vs baseline" in text
-        assert "<< drift" in text
-        assert "1 metric(s) drifted" in text
-
     def test_header_counts_runs_and_experiments(self, manifest):
         entries = entries_for([1.0, 2.0], manifest) + entries_for(
             [3.0], manifest, experiment="e3", key="uniq"
@@ -129,29 +106,23 @@ class TestRenderHistory:
 
 
 class TestRobustHistory:
-    """history_rows(robust=True): median+MAD verdicts replace the
-    rolling-mean drift flag."""
+    """history_rows: median+MAD verdicts are the drift flag."""
 
     QUIET = [100.0, 100.5, 99.5, 100.2, 99.8, 100.1]
 
     def test_short_series_stays_in_warmup(self, manifest):
         entries = entries_for([10.0, 20.0, 30.0], manifest)
-        (row,) = history_rows(entries, robust=True, window=5)
+        (row,) = history_rows(entries, window=5)
         assert row.verdict == "warmup"
         assert not row.drift
         assert row.baseline is None
 
     def test_outlier_history_does_not_fake_drift(self, manifest):
-        """One wild run in history fires the naive mean flag but not the
-        robust one — the whole point of the median+MAD discipline."""
+        """One wild run in history does not fire the flag — the whole
+        point of the median+MAD discipline."""
         series = self.QUIET + [300.0, 100.2]
-        naive_rows = history_rows(
-            entries_for(series, manifest), window=len(series) - 1
-        )
-        assert naive_rows[0].drift  # the mean is polluted
         (robust,) = history_rows(
             entries_for(series, manifest),
-            robust=True,
             window=len(series) - 1,
         )
         assert robust.verdict == "stable"
@@ -159,26 +130,20 @@ class TestRobustHistory:
 
     def test_real_movement_still_flags(self, manifest):
         entries = entries_for(self.QUIET + [80.0], manifest)
-        (row,) = history_rows(entries, robust=True, window=6)
+        (row,) = history_rows(entries, window=6)
         assert row.verdict == "down"
         assert row.drift
         assert row.baseline == pytest.approx(100.05)  # trailing median
 
-    def test_classic_rows_have_no_verdict(self, manifest):
-        (row,) = history_rows(entries_for([1.0, 2.0], manifest))
-        assert row.verdict is None
-
     def test_render_robust_warmup_and_footer(self, manifest):
-        text = render_history(
-            entries_for([1.0, 2.0], manifest), robust=True
-        )
+        text = render_history(entries_for([1.0, 2.0], manifest))
         assert "(warmup)" in text
         assert "<< drift" not in text
         assert "median+MAD noise band" in text
 
     def test_render_robust_movement_labels_median(self, manifest):
         text = render_history(
-            entries_for(self.QUIET + [80.0], manifest), robust=True, window=6
+            entries_for(self.QUIET + [80.0], manifest), window=6
         )
         assert "vs median" in text
         assert "<< drift" in text

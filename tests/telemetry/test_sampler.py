@@ -1,5 +1,7 @@
 """Resource sampler: ticks, probes, decimation, slot discipline, RSS."""
 
+import threading
+
 import pytest
 
 from repro import telemetry
@@ -44,6 +46,31 @@ class TestSampleOnce:
         finally:
             tr.end_span(sp)
         assert sampler.sample_once()["span"] is None
+
+    def test_other_thread_sees_open_parent_after_child_closes(self):
+        """The sampler thread has no span context of its own: it must
+        attribute to the deepest span still open in the traced flow."""
+        tr = telemetry.install(Tracer())
+        sampler = ResourceSampler()
+        outer = tr.start_span("outer")
+        inner = tr.start_span("inner")
+        tr.end_span(inner)
+        samples = []
+
+        def tick():
+            samples.append(sampler.sample_once())
+
+        try:
+            thread = threading.Thread(target=tick)
+            thread.start()
+            thread.join()
+        finally:
+            tr.end_span(outer)
+        assert samples[0]["span"] == "outer"
+        thread = threading.Thread(target=tick)
+        thread.start()
+        thread.join()
+        assert samples[1]["span"] is None
 
     def test_probes_sampled_and_raising_probe_survives(self):
         register_probe("good", lambda: 7.0)
