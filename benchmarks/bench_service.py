@@ -9,6 +9,10 @@ module holds the serving-layer budgets the observability PR promises:
   installed (the deployment default).  The artefact records the RED
   latency histograms next to the throughput so ``tools/bench_compare.py``
   can diff tail latency alongside rate.
+* ``TestKeyThroughput`` — full key regeneration (majority vote, BCH
+  decode of every block, re-expansion, digest check) must clear
+  ``KEY_FLOOR_PER_S`` keys per second in-process and untraced, on
+  genuine reads with a few percent of their bits flipped.
 * ``TestInstrumentationBudget`` — with no :class:`Tracer`
   installed, the per-request span machinery may cost one module-slot
   read and one branch (measured as an isinstance, an upper bound): the measured difference against a stub with
@@ -41,6 +45,11 @@ SEED = 20140324
 
 #: the serving-layer headline gate: in-process, untraced auth rate
 AUTH_FLOOR_PER_S = 10_000.0
+
+#: in-process, untraced key regeneration rate
+KEY_FLOOR_PER_S = 2_000.0
+N_KEYS = 1000
+KEY_FLIP_RATE = 0.03
 
 #: the uninstalled span hook may cost one slot read + one isinstance
 DISABLED_OVERHEAD_CEILING = 0.02
@@ -100,6 +109,51 @@ class TestAuthThroughput:
         assert per_s >= AUTH_FLOOR_PER_S, (
             f"untraced auth path serves {per_s:,.0f} req/s; "
             f"floor is {AUTH_FLOOR_PER_S:,.0f}"
+        )
+
+
+@pytest.mark.slow
+class TestKeyThroughput:
+    def test_key_floor(self):
+        assert telemetry.active() is None
+        service, bits = _enrolled_service()
+        rng = np.random.default_rng(11)
+        requests = [
+            (
+                i % N_CHIPS,
+                bits[i % N_CHIPS]
+                ^ (rng.random(service.response_bits) < KEY_FLIP_RATE).astype(np.uint8),
+            )
+            for i in range(N_KEYS)
+        ]
+        outcomes = []
+
+        async def hammer():
+            outcomes.clear()
+            for chip_id, response in requests:
+                outcomes.append((await service.key(chip_id, response))["outcome"])
+
+        t = best_of(lambda: asyncio.run(hammer()), rounds=5)
+        per_s = N_KEYS / t
+        assert outcomes == ["ok"] * N_KEYS  # every genuine read recovers
+        metrics = service.red.metrics()
+        emit(
+            "service_key",
+            f"in-process fleet service, {N_CHIPS} chips enrolled, "
+            f"{N_KEYS} genuine key regenerations per round at "
+            f"{KEY_FLIP_RATE:.0%} flipped bits (untraced)\n"
+            f"  best round : {t * 1e3:8.2f} ms\n"
+            f"  throughput : {per_s:12,.0f} key/s  "
+            f"(floor {KEY_FLOOR_PER_S:,.0f})\n"
+            f"  p50 / p99  : {metrics['key.p50_ms']:.4f} / "
+            f"{metrics['key.p99_ms']:.4f} ms",
+            values={"wall_s": t},
+            histograms=service.red.summaries(),
+            roofline={"key_per_s": per_s},
+        )
+        assert per_s >= KEY_FLOOR_PER_S, (
+            f"untraced key path serves {per_s:,.0f} req/s; "
+            f"floor is {KEY_FLOOR_PER_S:,.0f}"
         )
 
 

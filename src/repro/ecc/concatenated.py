@@ -7,13 +7,14 @@ work, and concatenating two linear codes preserves it.
 
 ``KeyCodec`` stacks as many concatenated blocks as the key needs (a 128-bit
 key over a ``k=64`` outer code needs two blocks) and exposes the aggregate
-geometry the design-space search optimises.
+geometry the design-space search optimises.  It reshapes a key to its
+``(n_blocks, n)`` block matrix and makes one call down the concatenated
+code: every codec method takes one block or a stack of blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from scipy import stats
@@ -43,22 +44,25 @@ class ConcatenatedCode:
         return f"{self.inner} o {self.outer}"
 
     def encode(self, message) -> np.ndarray:
-        """Outer-encode then repeat every codeword bit."""
+        """Outer-encode then repeat every codeword bit (``(k,)`` or
+        ``(B, k)``)."""
         return self.inner.encode(self.outer.encode(message))
 
-    def decode(self, received) -> Tuple[np.ndarray, int]:
+    def decode(self, received):
         """Majority-vote the groups, then BCH-decode the result.
 
-        Returns ``(corrected outer codeword, outer errors corrected)``.
+        ``received`` is one block ``(n,)`` or a stack ``(B, n)``.  Returns
+        ``(corrected outer codeword, outer errors corrected)``, per block
+        for a stack.
         """
         rx = np.asarray(received)
-        if rx.shape != (self.n,):
-            raise ValueError(f"received must have shape ({self.n},)")
+        if rx.shape[-1:] != (self.n,) or rx.ndim > 2:
+            raise ValueError(f"received must have shape ({self.n},) or (B, {self.n})")
         voted = self.inner.decode(rx)
         return self.outer.decode(voted)
 
     def decode_message(self, received) -> np.ndarray:
-        """Decode straight to the message bits."""
+        """Decode straight to the message bits (per block for a stack)."""
         corrected, _ = self.decode(received)
         return self.outer.extract_message(corrected)
 
@@ -111,30 +115,29 @@ class KeyCodec:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.n_blocks} x [{self.code}]"
 
+    def _blocks(self, bits, width: int, what: str) -> np.ndarray:
+        """Validate a key-length vector; return its ``(n_blocks, width)``
+        block matrix."""
+        arr = np.asarray(bits)
+        if arr.shape != (self.n_blocks * width,):
+            raise ValueError(f"{what} must have shape ({self.n_blocks * width},)")
+        return arr.reshape(self.n_blocks, width)
+
     def encode(self, message) -> np.ndarray:
         """Encode ``message_bits`` bits into ``raw_bits`` bits."""
-        msg = np.asarray(message)
-        if msg.shape != (self.message_bits,):
-            raise ValueError(f"message must have shape ({self.message_bits},)")
-        blocks = msg.reshape(self.n_blocks, self.code.k)
-        return np.concatenate([self.code.encode(b) for b in blocks])
+        blocks = self._blocks(message, self.code.k, "message")
+        return self.code.encode(blocks).reshape(-1)
 
     def decode(self, received) -> np.ndarray:
         """Decode ``raw_bits`` bits back to the ``message_bits`` bits."""
-        rx = np.asarray(received)
-        if rx.shape != (self.raw_bits,):
-            raise ValueError(f"received must have shape ({self.raw_bits},)")
-        blocks = rx.reshape(self.n_blocks, self.code.n)
-        return np.concatenate([self.code.decode_message(b) for b in blocks])
+        blocks = self._blocks(received, self.code.n, "received")
+        return self.code.decode_message(blocks).reshape(-1)
 
     def correct(self, received) -> np.ndarray:
         """Corrected raw codeword over all blocks (see
         :meth:`ConcatenatedCode.correct`)."""
-        rx = np.asarray(received)
-        if rx.shape != (self.raw_bits,):
-            raise ValueError(f"received must have shape ({self.raw_bits},)")
-        blocks = rx.reshape(self.n_blocks, self.code.n)
-        return np.concatenate([self.code.correct(b) for b in blocks])
+        blocks = self._blocks(received, self.code.n, "received")
+        return self.code.correct(blocks).reshape(-1)
 
     def key_failure_probability(self, p: float) -> float:
         """Probability the key regeneration fails at raw error rate ``p``."""

@@ -8,7 +8,10 @@ fields.  This module provides:
 * cyclotomic cosets and minimal polynomials, the ingredients of the BCH
   generator polynomial;
 * dense polynomial arithmetic over GF(2) (coefficients as 0/1 numpy
-  arrays, lowest degree first), enough for systematic cyclic encoding.
+  arrays, lowest degree first), enough for systematic cyclic encoding;
+* :func:`remainder_matrix` — reduction modulo a fixed polynomial as one
+  0/1 matrix, so the codecs reduce whole batches of words with one
+  product instead of a long division per word.
 
 Primitive polynomials follow the standard tables (Lin & Costello).
 """
@@ -219,6 +222,26 @@ def poly_mod_gf2(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
     out = np.zeros(dm, dtype=np.uint8)
     out[: a.size] = a if poly_degree(a) >= 0 else 0
     return out
+
+
+def remainder_matrix(mod: np.ndarray, n: int) -> np.ndarray:
+    """The ``(n, deg mod)`` 0/1 matrix whose row ``i`` is ``x^i mod mod``.
+
+    Reduction modulo a fixed polynomial is linear over GF(2), so the
+    remainder of any length-``n`` word (coefficients lowest first) is
+    ``word @ rows & 1``.  Row ``i + 1`` is ``x * row_i mod mod``, one
+    :func:`poly_mod_gf2` step per row.
+    """
+    dm = poly_degree(mod)
+    if dm < 1:
+        raise ValueError("modulus must have degree at least 1")
+    rows = np.zeros((n, dm), dtype=np.uint8)
+    row = np.zeros(dm, dtype=np.uint8)
+    row[0] = 1
+    for i in range(n):
+        rows[i] = row
+        row = poly_mod_gf2(np.concatenate(([0], row)), mod)
+    return rows
 
 
 def poly_lcm_gf2(polys: Sequence[np.ndarray]) -> np.ndarray:

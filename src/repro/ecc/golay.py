@@ -8,7 +8,9 @@ next to the BCH family.
 Being *perfect*, the 2^11 syndromes are in exact one-to-one
 correspondence with the error patterns of weight <= 3
 (``1 + 23 + C(23,2) + C(23,3) = 2048``), so decoding is a syndrome table
-lookup — built once at construction by enumerating those patterns.  The
+lookup — built once per process by enumerating those patterns.  A
+syndrome (the remainder modulo the generator) is one product with the
+remainder matrix, so a stack of words ``(B, n)`` decodes in one call.  The
 flip side of perfection: there are no detectable failures.  Any received
 word decodes to *some* codeword; four or more errors silently miscorrect.
 The key-failure model (binomial tail beyond t) already accounts for that.
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from functools import lru_cache
 
 import numpy as np
 
-from .galois import poly_mod_gf2
+from .bch import BchDecodingError, _as_bits
+from .galois import remainder_matrix
 
 #: generator polynomial x^11 + x^10 + x^6 + x^5 + x^4 + x^2 + 1,
 #: lowest-degree-first coefficient array
@@ -41,33 +44,42 @@ T = 3
 N_PARITY = 11
 
 
-def _syndrome_key(word: np.ndarray) -> int:
-    rem = poly_mod_gf2(word, GOLAY_GENERATOR)
-    return int(sum(int(b) << i for i, b in enumerate(rem)))
+#: ``(23, 11)``: row ``i`` is ``x^i mod g`` (a shortened word uses the
+#: first ``n`` rows — its chopped high positions are known zeros)
+_REMAINDERS = remainder_matrix(GOLAY_GENERATOR, N)
 
 
-_TABLE_CACHE: Dict[int, Tuple[int, ...]] = {}
+def _syndrome_key(words: np.ndarray) -> np.ndarray:
+    """Syndrome of each 0/1 word on the last axis, as an 11-bit integer."""
+    words = np.asarray(words, dtype=np.uint8)
+    rem = (words @ _REMAINDERS[: words.shape[-1]]) & 1
+    return rem @ (1 << np.arange(N_PARITY))
 
 
-def _build_syndrome_table() -> Dict[int, Tuple[int, ...]]:
-    """Map every syndrome to its unique weight-<=3 error pattern.
+@lru_cache(maxsize=None)
+def _build_syndrome_table() -> np.ndarray:
+    """``(2048, 23)``: row ``s`` is the unique weight-<=3 error pattern
+    with syndrome ``s``.
 
-    Built once per process (module-level cache): the table is a property
-    of the code, not of any instance.
+    Built once per process: the table is a property of the code, not of
+    any instance.
     """
-    if _TABLE_CACHE:
-        return _TABLE_CACHE
+    patterns = []
     for weight in range(T + 1):
         for positions in itertools.combinations(range(N), weight):
             err = np.zeros(N, dtype=np.uint8)
             err[list(positions)] = 1
-            key = _syndrome_key(err)
-            if key in _TABLE_CACHE:  # pragma: no cover - perfection
-                raise AssertionError("syndrome collision: code is not perfect")
-            _TABLE_CACHE[key] = positions
-    if len(_TABLE_CACHE) != 2**N_PARITY:  # pragma: no cover
+            patterns.append(err)
+    patterns = np.array(patterns)
+    keys = _syndrome_key(patterns)
+    if np.unique(keys).size != keys.size:  # pragma: no cover - perfection
+        raise AssertionError("syndrome collision: code is not perfect")
+    if keys.size != 2**N_PARITY:  # pragma: no cover
         raise AssertionError("syndrome table does not fill the space")
-    return _TABLE_CACHE
+    table = np.empty_like(patterns)
+    table[keys] = patterns
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,7 @@ class GolayCode:
     """
 
     n: int = N
-    _table: Dict[int, Tuple[int, ...]] = field(
+    _table: np.ndarray = field(
         default_factory=_build_syndrome_table, repr=False, compare=False
     )
 
@@ -121,55 +133,39 @@ class GolayCode:
     # -- codec -------------------------------------------------------------
 
     def encode(self, message) -> np.ndarray:
-        msg = np.asarray(message)
-        if msg.shape != (self.k,):
-            raise ValueError(f"message must have shape ({self.k},)")
-        if not np.all((msg == 0) | (msg == 1)):
-            raise ValueError("message must be a 0/1 bit vector")
-        shifted = np.zeros(self.n, dtype=np.uint8)
-        shifted[N_PARITY:] = msg
-        parity = poly_mod_gf2(shifted, GOLAY_GENERATOR)
-        codeword = np.zeros(self.n, dtype=np.uint8)
-        codeword[: parity.size] = parity
-        codeword[N_PARITY:] = msg
-        return codeword
+        """Systematic ``[parity | message]`` for ``(k,)`` or ``(B, k)``."""
+        msg = _as_bits(message, self.k, "message", stacked=True)
+        parity = (msg @ _REMAINDERS[N_PARITY : self.n]) & 1
+        return np.concatenate([parity, msg], axis=-1)
 
     def extract_message(self, codeword) -> np.ndarray:
-        cw = np.asarray(codeword)
-        if cw.shape != (self.n,):
-            raise ValueError(f"codeword must have shape ({self.n},)")
-        return cw[N_PARITY:].astype(np.uint8).copy()
+        cw = _as_bits(codeword, self.n, "codeword", stacked=True)
+        return cw[..., N_PARITY:].copy()
 
     def is_codeword(self, word) -> bool:
         w = np.asarray(word)
         if w.shape != (self.n,):
             raise ValueError(f"word must have shape ({self.n},)")
-        full = np.zeros(N, dtype=np.uint8)
-        full[: self.n] = w
-        return _syndrome_key(full) == 0
+        return bool(_syndrome_key(w) == 0)
 
-    def decode(self, received) -> Tuple[np.ndarray, int]:
-        """Correct up to three errors via the perfect syndrome table.
+    def decode(self, received):
+        """Correct up to three errors per word via the perfect syndrome
+        table; ``received`` is ``(n,)`` or a stack ``(B, n)``.
 
-        Shortened positions are known zeros; an "error" located there
-        means the true pattern had weight > t, which the perfect code
-        cannot flag otherwise — it is reported as a decoding failure.
+        Returns ``(corrected, n_corrected)`` — for a stack, the corrected
+        ``(B, n)`` matrix and a ``(B,)`` count.  Shortened positions are
+        known zeros; an "error" located there means the true pattern had
+        weight > t, which the perfect code cannot flag otherwise — it is
+        reported as a decoding failure.
         """
-        from .bch import BchDecodingError
-
-        rec = np.asarray(received)
-        if rec.shape != (self.n,):
-            raise ValueError(f"received must have shape ({self.n},)")
-        if not np.all((rec == 0) | (rec == 1)):
-            raise ValueError("received must be a 0/1 bit vector")
-        full = np.zeros(N, dtype=np.uint8)
-        full[: self.n] = rec
-        positions = self._table[_syndrome_key(full)]
-        if any(p >= self.n for p in positions):
+        rec = _as_bits(received, self.n, "received", stacked=True)
+        errors = self._table[_syndrome_key(rec)]
+        if errors[..., self.n :].any():
             raise BchDecodingError(
                 "error located in the shortened (always-zero) prefix"
             )
-        corrected = rec.astype(np.uint8).copy()
-        for p in positions:
-            corrected[p] ^= 1
-        return corrected, len(positions)
+        errors = errors[..., : self.n]
+        n_corrected = errors.sum(axis=-1, dtype=np.int64)
+        if rec.ndim == 1:
+            return rec ^ errors, int(n_corrected)
+        return rec ^ errors, n_corrected

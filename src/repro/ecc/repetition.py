@@ -43,23 +43,23 @@ class RepetitionCode:
         return f"Rep({self.r})"
 
     def encode(self, message) -> np.ndarray:
-        """Repeat every message bit ``r`` times."""
-        msg = np.asarray(message)
+        """Repeat every message bit ``r`` times (along the last axis)."""
+        msg = np.atleast_1d(np.asarray(message))
         if not np.all((msg == 0) | (msg == 1)):
             raise ValueError("message must be a 0/1 bit vector")
-        return np.repeat(msg.astype(np.uint8), self.r)
+        return np.repeat(msg.astype(np.uint8), self.r, axis=-1)
 
     def decode(self, received) -> np.ndarray:
-        """Majority-vote every group of ``r`` bits."""
-        rx = np.asarray(received)
-        if rx.size % self.r != 0:
+        """Majority-vote every group of ``r`` bits (along the last axis)."""
+        rx = np.atleast_1d(np.asarray(received))
+        if rx.shape[-1] % self.r != 0:
             raise ValueError(
-                f"received length {rx.size} is not a multiple of r={self.r}"
+                f"received length {rx.shape[-1]} is not a multiple of r={self.r}"
             )
         if not np.all((rx == 0) | (rx == 1)):
             raise ValueError("received must be a 0/1 bit vector")
-        groups = rx.reshape(-1, self.r)
-        return (groups.sum(axis=1) > self.t).astype(np.uint8)
+        groups = rx.reshape(*rx.shape[:-1], -1, self.r)
+        return (groups.sum(axis=-1) > self.t).astype(np.uint8)
 
     def decoded_error_probability(self, p: float) -> float:
         """Residual bit-error probability after majority voting.

@@ -53,7 +53,8 @@ WIRE_OPS = ("enroll", "auth", "key", "status")
 
 
 def default_extractor(key_bits: int = 128) -> FuzzyExtractor:
-    """The service's reference codec: BCH(63,45,t=4) × repetition-3.
+    """The service's reference codec: ``4 x [Rep(3) o BCH(63,39,t=4)]``,
+    756 response bits for a 128-bit key.
 
     The E6 design-space sweep's balanced point — enough correction power
     for the ARO's 10-year drift at a practical response width.
@@ -322,7 +323,7 @@ class FleetService:
         if op == "status":
             return await self.status()
         chip_id = request.get("chip_id")
-        if not isinstance(chip_id, int):
+        if not isinstance(chip_id, int) or isinstance(chip_id, bool):
             return await self._bad(op, None, "chip_id must be an integer")
         try:
             if op == "enroll":
@@ -354,7 +355,15 @@ class FleetService:
         """One client connection: a line of JSON in, a line of JSON out."""
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # a line past the stream's limit: answer it once, metered
+                    # and audited like any malformed request, then hang up
+                    reply = await self._bad("wire", None, "request line too long")
+                    writer.write(json.dumps(reply).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:

@@ -12,6 +12,7 @@ from repro.ecc import (
     poly_mul_gf2,
     poly_trim,
 )
+from repro.ecc.galois import remainder_matrix
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +172,23 @@ class TestPolyGf2:
     def test_lcm_empty_rejected(self):
         with pytest.raises(ValueError):
             poly_lcm_gf2([])
+
+    def test_remainder_matrix_rows_are_powers_of_x(self):
+        mod = np.array([1, 1, 0, 1], dtype=np.uint8)  # x^3 + x + 1
+        rows = remainder_matrix(mod, 10)
+        assert rows.shape == (10, 3)
+        for i in range(10):
+            x_i = np.zeros(i + 1, dtype=np.uint8)
+            x_i[i] = 1
+            assert rows[i].tolist() == poly_mod_gf2(x_i, mod).tolist()
+
+    def test_remainder_matrix_reduces_any_word(self):
+        mod = np.array([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1], dtype=np.uint8)
+        rows = remainder_matrix(mod, 23)
+        words = np.random.default_rng(0).integers(0, 2, (50, 23)).astype(np.uint8)
+        for word, rem in zip(words, (words @ rows) & 1):
+            assert rem.tolist() == poly_mod_gf2(word, mod).tolist()
+
+    def test_remainder_matrix_needs_nonconstant_modulus(self):
+        with pytest.raises(ValueError):
+            remainder_matrix(np.array([1], dtype=np.uint8), 4)

@@ -119,6 +119,48 @@ class TestWireErrors:
 
         asyncio.run(_with_server(body))
 
+    def test_bool_chip_id_is_bad_request(self):
+        """JSON ``true`` is not chip 1: it must not reach chip 1's record."""
+        async def body(service, port):
+            bits = _golden(service)
+            assert (await service.enroll(1, [bits]))["outcome"] == "ok"
+            blob = np.packbits(bits).tobytes().hex()
+            for op in ("auth", "key"):
+                reply = await self._raw_call(
+                    port,
+                    json.dumps(
+                        {
+                            "op": op,
+                            "chip_id": True,
+                            "bits": service.response_bits,
+                            "response": blob,
+                        }
+                    ).encode(),
+                )
+                assert reply["outcome"] == "bad_request"
+                assert reply["error"] == "chip_id must be an integer"
+
+        asyncio.run(_with_server(body))
+
+    def test_oversized_line_gets_one_reply_then_eof(self):
+        """A line past the stream limit is answered once, metered, and the
+        connection closed."""
+        async def body(service, port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(b"x" * 70_000 + b"\n")
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                assert reply["outcome"] == "bad_request"
+                assert await reader.readline() == b""
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert service.red.total_requests() == 1
+            assert service.red.requests == {"wire": 1}
+
+        asyncio.run(_with_server(body))
+
 
 class TestClientPool:
     def test_concurrent_calls_do_not_mispair_replies(self):

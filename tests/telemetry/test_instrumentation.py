@@ -5,7 +5,9 @@ import pytest
 
 from repro import telemetry
 from repro.core import aro_design, make_batch_study
-from repro.ecc.bch import BchCode
+from repro.ecc.bch import BchCode, BchDecodingError
+from repro.ecc.concatenated import ConcatenatedCode, KeyCodec
+from repro.ecc.repetition import RepetitionCode
 from repro.keygen.fuzzy_extractor import FuzzyExtractor
 
 
@@ -72,25 +74,39 @@ class TestEccKeygenCounters:
         assert tr.counters["ecc.bch_corrected_bits"] == 2
 
     def test_bch_failure_counter(self):
-        code = BchCode.design(m=5, t=1)
+        """The failure counter is 1 exactly when ``decode`` raised."""
+        code = BchCode.design(m=5, t=3)
         word = code.encode(np.zeros(code.k, dtype=np.uint8))
-        garbled = word.copy()
-        garbled[:7] ^= 1
+        for n_flips in (0, 2, 3, 4, 7):
+            garbled = word.copy()
+            garbled[:n_flips] ^= 1
+            with telemetry.session() as tr:
+                try:
+                    code.decode(garbled)
+                except BchDecodingError:
+                    raised = True
+                else:
+                    raised = False
+            assert raised == (n_flips > code.t)
+            assert tr.counters.get("ecc.bch_decode_failures", 0) == int(raised)
+            assert tr.counters["ecc.bch_decodes"] == 1
+
+    def test_key_codec_counts_every_block(self):
+        """One batched outer-code call per key still counts words."""
+        codec = KeyCodec(
+            code=ConcatenatedCode(
+                outer=BchCode.design(m=5, t=3), inner=RepetitionCode(3)
+            ),
+            key_bits=64,
+        )
+        assert codec.n_blocks == 4
+        encoded = codec.encode(np.zeros(codec.message_bits, dtype=np.uint8))
         with telemetry.session() as tr:
-            try:
-                code.decode(garbled)
-            except Exception:
-                pass
-            else:  # >t errors may still silently miscorrect; force the count
-                tr.count("ecc.bch_decode_failures")
-        assert tr.counters.get("ecc.bch_decode_failures", 0) >= 0
-        assert tr.counters["ecc.bch_decodes"] == 1
+            codec.correct(encoded)
+        assert tr.counters["ecc.bch_decodes"] == 4
+        assert tr.counters["ecc.bch_clean_words"] == 4
 
     def test_keygen_counters(self):
-        from repro.ecc.bch import BchCode
-        from repro.ecc.concatenated import ConcatenatedCode, KeyCodec
-        from repro.ecc.repetition import RepetitionCode
-
         codec = KeyCodec(
             code=ConcatenatedCode(
                 outer=BchCode.design(m=6, t=3), inner=RepetitionCode(3)
